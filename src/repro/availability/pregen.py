@@ -43,7 +43,7 @@ from repro.util.rng import RandomSource, derive_seeds
 #: Recognised pregeneration sampling backends.
 AVAIL_BACKENDS = ("scalar", "numpy")
 
-#: Environment override for the backend (mirrors ``REPRO_EVENT_QUEUE``).
+#: Environment override for the backend (mirrors ``REPRO_AUDIT``).
 BACKEND_ENV = "REPRO_AVAIL_BACKEND"
 
 #: Environment override for the pregeneration worker count.
@@ -65,14 +65,20 @@ def resolve_backend(configured: str = "scalar") -> str:
 
 
 def resolve_jobs(configured: int = 1) -> int:
-    """Worker count after the ``REPRO_PREGEN_JOBS`` environment override."""
+    """Worker count after the ``REPRO_PREGEN_JOBS`` environment override.
+
+    A set override must be an integer >= 1, like ``ClusterConfig.pregen_jobs``.
+    """
     raw = os.environ.get(JOBS_ENV, "").strip()
-    if raw:
-        try:
-            return max(int(raw), 1)
-        except ValueError:
-            return max(int(configured), 1)
-    return max(int(configured), 1)
+    if not raw:
+        return max(int(configured), 1)
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"{JOBS_ENV} must be an integer >= 1, got {raw!r}")
+    return jobs
 
 
 def shift_episodes(

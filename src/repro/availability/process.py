@@ -73,8 +73,8 @@ class InterruptionProcess:
         probability, an infinite busy period — physically, a volunteer that
         leaves and never returns, which real SETI@home traces do contain.
         When the bound trips, the episode ends at the accumulated recovery
-        point (already astronomically far in the future for any job); for
-        stable hosts the bound is effectively never reached.
+        point (already astronomically far in the future for any job); among
+        stable hosts, only near-critical ones (rho close to 1) reach it.
     """
 
     def __init__(

@@ -65,7 +65,6 @@ EffectKey = Tuple[str, str]
 DRAW_METHODS = frozenset(
     {
         "random",
-        "random_many",
         "raw_random",
         "uniform",
         "randint",

@@ -42,7 +42,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import ClassVar, Dict, List, Optional, Sequence
 
 from repro.availability.estimators import AvailabilityEstimate
 from repro.availability.generator import HostAvailability
@@ -67,7 +67,7 @@ from repro.mapreduce.speculation import SpeculationPolicy
 from repro.mapreduce.tasktracker import TaskTracker
 from repro.runtime.services import ServiceRegistry
 from repro.simulator.chaos import ChaosEngine
-from repro.simulator.engine import EVENT_QUEUES, Simulator
+from repro.simulator.engine import Simulator
 from repro.simulator.events import (
     BlockLost,
     EventBus,
@@ -222,12 +222,10 @@ class ClusterConfig:
     #: at any job count: every host's stream is independently keyed. The
     #: ``REPRO_PREGEN_JOBS`` environment variable overrides at build time.
     pregen_jobs: int = 1
-    #: Event-queue implementation: "heap" (compacting binary heap, the
-    #: default) or "calendar" (bucketed calendar queue for high event
-    #: density). Both are exact — identical (time, seq) pop order — and
-    #: byte-identical on the golden scenarios. The ``REPRO_EVENT_QUEUE``
-    #: environment variable overrides this at build time.
-    event_queue: str = "heap"
+    #: Not a field: the engine has one event queue, a binary heap. Kept as
+    #: a constant because the benchmark (``perfbench/cell.py``) records
+    #: ``config.event_queue`` with every run.
+    event_queue: ClassVar[str] = "heap"
     #: Root seed; every random stream in the cluster derives from it.
     seed: int = 0
 
@@ -259,10 +257,6 @@ class ClusterConfig:
             )
         if self.pregen_jobs < 1:
             raise ValueError(f"pregen_jobs must be >= 1, got {self.pregen_jobs}")
-        if self.event_queue not in EVENT_QUEUES:
-            raise ValueError(
-                f"event_queue must be one of {EVENT_QUEUES}, got {self.event_queue!r}"
-            )
         if self.topology not in TOPOLOGIES:
             raise ValueError(
                 f"topology must be one of {TOPOLOGIES}, got {self.topology!r}"
@@ -479,16 +473,7 @@ def build_cluster(
     ids = NodeIds()
     node_id_of = {name: ids.intern(name) for name in names}
 
-    # Like REPRO_AUDIT below: the environment variable lets CI drive the
-    # whole suite through the alternate queue without touching configs.
-    queue_name = (
-        os.environ.get("REPRO_EVENT_QUEUE", "").strip().lower() or config.event_queue
-    )
-    if queue_name not in EVENT_QUEUES:
-        raise ValueError(
-            f"REPRO_EVENT_QUEUE must be one of {EVENT_QUEUES}, got {queue_name!r}"
-        )
-    sim = Simulator(queue=queue_name)
+    sim = Simulator()
     rng = RandomSource(config.seed)
     bus = EventBus()
     tracer: Optional[TraceRecorder] = None

@@ -1,22 +1,10 @@
 """The discrete-event engine.
 
 A minimal, fast event loop: events are ``(time, sequence, action)`` triples
-in a pluggable :class:`EventQueue`. The sequence number breaks time ties in
-scheduling order, which makes every simulation a deterministic function of
-its root seed — a property the reproducibility tests assert end-to-end.
-
-Two queue implementations are provided, selectable via
-``Simulator(queue=...)`` / ``ClusterConfig.event_queue``:
-
-* :class:`HeapEventQueue` (default) — a compacting binary heap;
-  O(log n) push/pop regardless of event-time distribution.
-* :class:`CalendarEventQueue` — a bucketed calendar queue (R. Brown,
-  CACM 1988): amortised O(1) push/pop when event times are spread over
-  many buckets, the regime a 226k-node failure kernel lives in.
-
-Both are **exact**: pops come out in strict ``(time, seq)`` order, so the
-simulated trajectory is byte-identical whichever queue runs it (pinned by
-``tests/simulator/test_event_queues.py`` and the golden determinism suite).
+in a :class:`HeapEventQueue`, a compacting binary heap with O(log n)
+push/pop. The sequence number breaks time ties in scheduling order, which
+makes every simulation a deterministic function of its root seed — a
+property the reproducibility tests assert end-to-end.
 
 Cancellation is lazy (a cancelled handle stays queued and is skipped when
 popped), which keeps both ``schedule`` and ``cancel`` cheap. Long runs with
@@ -24,7 +12,8 @@ recurring reschedule/cancel cycles (heartbeat watchdogs, network sweeps)
 would otherwise accumulate dead entries without bound, so the queue is
 compacted — cancelled entries dropped — whenever they outnumber the live
 ones (amortised O(1) per cancellation; :attr:`Simulator.pending_events`
-stays within a constant factor of the live event count).
+stays within a constant factor of the live event count). Compaction never
+changes the ``(time, seq)`` order of the live entries.
 """
 
 from __future__ import annotations
@@ -32,13 +21,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, List, Optional, Protocol, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 #: Never compact below this queue size: tiny queues don't need the churn.
 _COMPACT_MIN_SIZE = 64
-
-#: Valid ``Simulator(queue=...)`` / ``ClusterConfig.event_queue`` names.
-EVENT_QUEUES = ("heap", "calendar")
 
 
 class EventHandle:
@@ -89,38 +75,13 @@ class EventHandle:
 QueueEntry = Tuple[float, int, EventHandle]
 
 
-class EventQueue(Protocol):
+class HeapEventQueue:
     """Priority queue of :data:`QueueEntry` items in ``(time, seq)`` order.
 
-    Implementations must be *exact*: :meth:`pop` returns the globally
-    smallest entry, every time — approximate orderings (e.g. ladder queues
-    with intra-rung disorder) would silently break golden byte-determinism.
-    Cancelled-entry skipping and accounting live in :class:`Simulator`;
-    queues just store and order.
+    A plain binary heap (``heapq``). Cancelled-entry skipping and
+    accounting live in :class:`Simulator`; the queue just stores and
+    orders.
     """
-
-    def push(self, entry: QueueEntry) -> None:
-        """Insert an entry."""
-        ...
-
-    def pop(self) -> QueueEntry:
-        """Remove and return the smallest entry; IndexError when empty."""
-        ...
-
-    def peek(self) -> Optional[QueueEntry]:
-        """The smallest entry without removing it, or None when empty."""
-        ...
-
-    def compact(self) -> int:
-        """Drop cancelled entries; return how many were dropped."""
-        ...
-
-    def __len__(self) -> int:
-        ...
-
-
-class HeapEventQueue:
-    """The default queue: a plain binary heap (``heapq``)."""
 
     __slots__ = ("_heap",)
 
@@ -146,146 +107,12 @@ class HeapEventQueue:
         return len(self._heap)
 
 
-class CalendarEventQueue:
-    """A bucketed calendar queue with exact ``(time, seq)`` pop order.
-
-    Entries hash into ``nbuckets`` time buckets of ``width`` simulated
-    seconds each (bucket = ``int(t / width) % nbuckets``); each bucket is a
-    small heap. Popping scans forward from the current *virtual bucket*
-    (``int(t / width)``, unwrapped); an entry is delivered only when the
-    scan stands in the virtual bucket its time hashes to, which guarantees
-    global minimality — all earlier buckets of the lap were empty and
-    earlier laps contain nothing. A full fruitless lap (sparse regime)
-    falls back to a direct min scan over bucket heads, so pops always
-    terminate and order stays exact.
-
-    The table doubles/halves to keep bucket occupancy O(1) and re-derives
-    the width from the live entries' time span on every resize. All
-    adaptivity affects only speed — never order.
-    """
-
-    __slots__ = ("_buckets", "_nbuckets", "_width", "_size", "_vbucket")
-
-    def __init__(self, nbuckets: int = 16, width: float = 1.0) -> None:
-        if nbuckets < 1:
-            raise ValueError(f"nbuckets must be >= 1, got {nbuckets}")
-        if width <= 0.0:
-            raise ValueError(f"width must be positive, got {width}")
-        self._nbuckets = nbuckets
-        self._width = width
-        self._buckets: List[List[QueueEntry]] = [[] for _ in range(nbuckets)]
-        self._size = 0
-        #: Virtual (unwrapped) bucket index the pop scan stands in.
-        self._vbucket = 0
-
-    def push(self, entry: QueueEntry) -> None:
-        vb = int(entry[0] / self._width)
-        if vb < self._vbucket:
-            # An entry behind the scan position (only possible before the
-            # first pop, or from direct queue use in tests): back the scan
-            # up so nothing is skipped.
-            self._vbucket = vb
-        heapq.heappush(self._buckets[vb % self._nbuckets], entry)
-        self._size += 1
-        if self._size > 2 * self._nbuckets and self._nbuckets < 1 << 20:
-            self._resize(2 * self._nbuckets)
-
-    def pop(self) -> QueueEntry:
-        if self._size == 0:
-            raise IndexError("pop from empty CalendarEventQueue")
-        entry = self._find_head(advance=True)
-        assert entry is not None
-        bucket = self._buckets[int(entry[0] / self._width) % self._nbuckets]
-        popped = heapq.heappop(bucket)
-        self._size -= 1
-        if self._size < self._nbuckets // 4 and self._nbuckets > 16:
-            self._resize(max(self._nbuckets // 2, 16))
-        return popped
-
-    def peek(self) -> Optional[QueueEntry]:
-        if self._size == 0:
-            return None
-        return self._find_head(advance=True)
-
-    def _find_head(self, advance: bool) -> Optional[QueueEntry]:
-        """Locate the globally smallest entry (size > 0 assumed).
-
-        Scans forward from the current virtual bucket; after one full
-        fruitless lap, jumps straight to the minimum bucket head.
-        ``advance`` moves the scan position up to the found entry's virtual
-        bucket (always safe: nothing smaller exists).
-        """
-        width = self._width
-        n = self._nbuckets
-        vb = self._vbucket
-        for _ in range(n):
-            bucket = self._buckets[vb % n]
-            if bucket and int(bucket[0][0] / width) == vb:
-                if advance:
-                    self._vbucket = vb
-                return bucket[0]
-            vb += 1
-        # Sparse regime: nothing within a full lap of the scan. Take the
-        # minimum over bucket heads directly (exactness over speed).
-        best: Optional[QueueEntry] = None
-        for bucket in self._buckets:
-            if bucket and (best is None or bucket[0] < best):
-                best = bucket[0]
-        assert best is not None
-        if advance:
-            self._vbucket = int(best[0] / width)
-        return best
-
-    def _resize(self, nbuckets: int) -> None:
-        entries = [entry for bucket in self._buckets for entry in bucket]
-        lo = min(entry[0] for entry in entries) if entries else 0.0
-        hi = max(entry[0] for entry in entries) if entries else 0.0
-        span = hi - lo
-        if span > 0.0 and len(entries) > 1:
-            # ~3 expected entries per bucket across the live span.
-            self._width = max(span * 3.0 / len(entries), 1e-9)
-        self._nbuckets = nbuckets
-        self._buckets = [[] for _ in range(nbuckets)]
-        self._size = 0
-        self._vbucket = int(lo / self._width)
-        for entry in entries:
-            self.push(entry)
-
-    def compact(self) -> int:
-        dropped = 0
-        for i, bucket in enumerate(self._buckets):
-            live = [entry for entry in bucket if not entry[2].cancelled]
-            dropped += len(bucket) - len(live)
-            heapq.heapify(live)
-            self._buckets[i] = live
-        self._size -= dropped
-        return dropped
-
-    def __len__(self) -> int:
-        return self._size
-
-
-def make_event_queue(name: str) -> EventQueue:
-    """Build a queue implementation by its config name."""
-    if name == "heap":
-        return HeapEventQueue()
-    if name == "calendar":
-        return CalendarEventQueue()
-    raise ValueError(f"event queue must be one of {EVENT_QUEUES}, got {name!r}")
-
-
 class Simulator:
     """Deterministic discrete-event simulator."""
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        queue: Union[str, EventQueue] = "heap",
-    ) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: EventQueue = (
-            make_event_queue(queue) if isinstance(queue, str) else queue
-        )
+        self._queue = HeapEventQueue()
         self._sequence = itertools.count()
         self._events_fired = 0
         self._running = False
@@ -312,8 +139,8 @@ class Simulator:
         return self._cancelled_in_heap
 
     @property
-    def queue(self) -> EventQueue:
-        """The live event-queue implementation (introspection/tests)."""
+    def queue(self) -> HeapEventQueue:
+        """The live event queue (introspection/tests)."""
         return self._queue
 
     def schedule(

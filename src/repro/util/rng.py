@@ -166,17 +166,6 @@ class RandomSource:
         """Uniform float in [0, 1)."""
         return self._random.random()
 
-    def random_many(self, count: int) -> List[float]:
-        """``count`` uniforms in [0, 1) — exactly ``count`` calls of
-        :meth:`random`, batched.
-
-        The returned list is position-identical to ``count`` scalar draws,
-        and the stream is left in the same state, so batched and scalar
-        consumers interleave without divergence.
-        """
-        r = self._random.random
-        return [r() for _ in range(count)]
-
     @property
     def raw_random(self) -> Callable[[], float]:
         """The bound uniform sampler, for hot rejection loops.

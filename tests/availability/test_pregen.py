@@ -124,7 +124,11 @@ class TestKnobResolution:
     def test_jobs_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_PREGEN_JOBS", "7")
         assert resolve_jobs(1) == 7
-        monkeypatch.setenv("REPRO_PREGEN_JOBS", "not-a-number")
+        for bad in ("not-a-number", "0", "-2"):
+            monkeypatch.setenv("REPRO_PREGEN_JOBS", bad)
+            with pytest.raises(ValueError, match="REPRO_PREGEN_JOBS"):
+                resolve_jobs(3)
+        monkeypatch.setenv("REPRO_PREGEN_JOBS", "")
         assert resolve_jobs(3) == 3
 
     def test_validation(self):

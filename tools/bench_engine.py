@@ -33,8 +33,8 @@ Usage::
     PYTHONPATH=src python tools/bench_engine.py --full   # adds the 226k cell
 
 The tool runs unchanged on revisions that predate the scale-kernel knobs
-(``pregen_horizon`` / ``event_queue``): knobs are applied only when the
-checked-out ``ClusterConfig`` has the field.
+(``pregen_horizon``): knobs are applied only when the checked-out
+``ClusterConfig`` has the field.
 """
 
 from __future__ import annotations
@@ -298,12 +298,6 @@ def main() -> int:
         help="ClusterConfig.pregen_horizon to apply (ignored if the field is absent)",
     )
     parser.add_argument(
-        "--event-queue",
-        type=str,
-        default=None,
-        help="ClusterConfig.event_queue to apply (ignored if the field is absent)",
-    )
-    parser.add_argument(
         "--avail-backend",
         type=str,
         default=None,
@@ -334,7 +328,6 @@ def main() -> int:
 
     knobs = {
         "pregen_horizon": args.pregen_horizon,
-        "event_queue": args.event_queue,
         "avail_backend": args.avail_backend,
         "pregen_jobs": args.pregen_jobs,
     }
