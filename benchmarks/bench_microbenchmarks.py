@@ -179,6 +179,36 @@ def test_placement_decision_rate(benchmark):
     assert total == 5120
 
 
+def test_adapt_placement_paper_scale(benchmark):
+    """ADAPT capped placement at the paper's scale: 1024 nodes x 100 blocks.
+
+    A quarter of the nodes are dedicated, a quarter unstable (lambda*mu
+    >= 1, no placement mass), so the Section IV.C threshold cap fills
+    nodes and rebuilds the hash table (m = 102,400 slots) 356 times: this
+    times table rebuilds as much as draws. Run on demand; not part of CI.
+    """
+    nodes, blocks = 1024, 102_400
+    views = [
+        NodeView(
+            f"n{i}",
+            AvailabilityEstimate(
+                arrival_rate=0.03 * (i % 4),
+                recovery_mean=8.0 * (i % 4),
+                observations=1,
+            ),
+        )
+        for i in range(nodes)
+    ]
+
+    def run():
+        plan = AdaptPlacement().build_plan(views, blocks, 1, 12.0)
+        plan.choose_replicas_many(RandomSource(1), blocks)
+        return sum(plan.allocations().values())
+
+    total = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert total == blocks
+
+
 def test_random_placement_decision_rate(benchmark):
     """Baseline: stock random placement at the same scale."""
     views = [

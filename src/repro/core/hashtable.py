@@ -8,6 +8,18 @@ numbers, a slot on a boundary is shared by the adjacent nodes — the paper's
 slot returns its owner directly, while a collision chain is resolved by a
 second uniform draw weighted by the chain members' rates.
 
+The table is never materialised slot by slot. The node intervals
+``[a_i, b_i)`` partition ``[0, m)`` in order, so the table stores only their
+bounds (``a_i`` and ``b_i`` accumulated exactly as the paper's loop would:
+``b = a + rate * m; a = b``) and finds slot ``j``'s chain by bisecting the
+ends at ``j`` and walking forward while an interval starts before ``j + 1``.
+Each member's overlap is the same float expression, in the same order, with
+the same ``> 1e-12`` membership test a slot-by-slot build would use, so the
+chains (and hence every placement draw) are bit-identical to it. A build
+is O(n) and a draw O(log n + chain length), independent of ``m``; the
+Section IV.C threshold cap rebuilds the table each time a node fills up,
+which is what makes that matter.
+
 This module implements both the paper-faithful chain resolution (weights =
 global rates, as the pseudo-code literally states) and an exact variant
 (weights = each node's slot-interval overlap) selectable with
@@ -20,6 +32,7 @@ property tests exploit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.ids import NodeId
@@ -74,33 +87,68 @@ class WeightedHashTable:
         self._rates = [float(r) / total for r in rates]
         self._num_slots = int(num_slots)
         self._chain_weighting = chain_weighting
-        self._slots = self._build_slots()
-
-    def _build_slots(self) -> List[List[Tuple[int, float]]]:
-        """Lay node intervals over the slots.
-
-        Returns, per slot, the chain of (node index, overlap length) pairs
-        for every node whose interval ``[a_i, b_i)`` intersects the slot
-        ``[j, j+1)``.
-        """
-        slots: List[List[Tuple[int, float]]] = [[] for _ in range(self._num_slots)]
+        #: Node id -> first index; ``rate`` is O(1) instead of ``list.index``.
+        self._position: Dict[NodeId, int] = {}
+        for index, node_id in enumerate(self._node_ids):
+            self._position.setdefault(node_id, index)
+        # The layout: one ``[start, end)`` interval per positive-rate node,
+        # laid end to end from 0 by the same running sum the paper's
+        # ``buildHashTable`` loop performs.
+        self._starts: List[float] = []
+        self._ends: List[float] = []
+        self._owners: List[int] = []
         a = 0.0
         for index, rate in enumerate(self._rates):
             if rate == 0.0:
                 continue
             b = a + rate * self._num_slots
-            first = int(math.floor(a))
-            # Guard the final interval against float drift past the table end.
-            last = min(int(math.ceil(b)), self._num_slots)
-            for j in range(first, last):
-                overlap = min(b, j + 1.0) - max(a, float(j))
-                if overlap > 1e-12:
-                    slots[j].append((index, overlap))
+            self._starts.append(a)
+            self._ends.append(b)
+            self._owners.append(index)
             a = b
-        for j, chain in enumerate(slots):
-            if not chain:
-                raise AssertionError(f"hash table slot {j} has an empty chain")
-        return slots
+        # The intervals are contiguous from 0, so only the last slot can be
+        # left uncovered (by float drift of the final end below m).
+        last = self._num_slots - 1
+        if not self._entries(last):
+            raise AssertionError(f"hash table slot {last} has an empty chain")
+
+    def _entries(self, slot: int) -> List[Tuple[int, float]]:
+        """The (node index, overlap length) chain of one slot.
+
+        Every interval with ``end > slot`` and ``start < slot + 1`` meets the
+        slot ``[slot, slot+1)``; the ends and starts are non-decreasing, so
+        those intervals are the run that begins at the bisection point.
+        Members whose overlap is float dust (<= 1e-12) are dropped.
+        """
+        starts, ends, owners = self._starts, self._ends, self._owners
+        low = float(slot)
+        high = slot + 1.0
+        chain: List[Tuple[int, float]] = []
+        k = bisect_right(ends, slot)
+        while k < len(starts) and starts[k] < high:
+            overlap = min(ends[k], high) - max(starts[k], low)
+            if overlap > 1e-12:
+                chain.append((owners[k], overlap))
+            k += 1
+        return chain
+
+    def _boundary_slots(self) -> List[int]:
+        """Ascending slots that may hold more than one node.
+
+        A slot is shared only if an interval starts inside it. This list
+        holds every slot an interval starts in, so every slot outside it
+        lies wholly inside a single interval. The last slot is included
+        because float drift may leave it short.
+        """
+        m = self._num_slots
+        slots = {int(a) for a in self._starts if a < m}
+        slots.add(m - 1)
+        return sorted(slots)
+
+    def _chain_weights(self, chain: List[Tuple[int, float]]) -> List[float]:
+        if self._chain_weighting == "overlap":
+            return [overlap for _i, overlap in chain]
+        return [self._rates[i] for i, _overlap in chain]
 
     # -- queries ---------------------------------------------------------------
 
@@ -115,7 +163,10 @@ class WeightedHashTable:
 
     def rate(self, node_id: NodeId) -> float:
         """The normalised placement rate of a node."""
-        return self._rates[self._node_ids.index(node_id)]
+        index = self._position.get(node_id)
+        if index is None:
+            raise ValueError(f"{node_id!r} is not in the table")
+        return self._rates[index]
 
     def expected_blocks(self, node_id: NodeId) -> float:
         """``w_i = m * rate_i``: expected blocks allocated to the node."""
@@ -123,24 +174,29 @@ class WeightedHashTable:
 
     def chain(self, slot: int) -> List[NodeId]:
         """The node chain stored at a hash-table key (collision list)."""
-        return [self._node_ids[i] for i, _overlap in self._slots[slot]]
+        if slot < 0:
+            slot += self._num_slots
+        if not 0 <= slot < self._num_slots:
+            raise IndexError(f"hash table slot {slot} out of range")
+        return [self._node_ids[i] for i, _overlap in self._entries(slot)]
 
     def max_chain_length(self) -> int:
         """Longest collision chain; bounded by n in degenerate tables."""
-        return max(len(chain) for chain in self._slots)
+        return max(len(self._entries(j)) for j in self._boundary_slots())
 
     # -- dataPlacement ----------------------------------------------------------
 
     def place(self, rng: RandomSource) -> NodeId:
         """One ``dataPlacement`` draw: returns the selected node id."""
         r = rng.randrange(self._num_slots)
-        chain = self._slots[r]
+        k = bisect_right(self._ends, r)
+        if self._starts[k] <= r and self._ends[k] >= r + 1:
+            # The slot lies wholly inside one interval: a single-owner chain.
+            return self._node_ids[self._owners[k]]
+        chain = self._entries(r)
         if len(chain) == 1:
             return self._node_ids[chain[0][0]]
-        if self._chain_weighting == "overlap":
-            weights = [overlap for _i, overlap in chain]
-        else:
-            weights = [self._rates[i] for i, _overlap in chain]
+        weights = self._chain_weights(chain)
         omega = sum(weights)
         r1 = rng.random()
         low = 0.0
@@ -159,24 +215,29 @@ class WeightedHashTable:
     def selection_probabilities(self) -> Dict[NodeId, float]:
         """Exact per-node selection probability of :meth:`place`.
 
-        Computed by summing, over slots, P(slot) * P(node | chain). With
-        ``chain_weighting="overlap"`` this equals ``rate_i`` exactly (up to
-        float error); with the paper's ``"rate"`` weighting it is close but
-        not identical when chains mix very unequal rates.
+        The sum, over slots, of P(slot) * P(node | chain). Slots inside one
+        interval give their owner ``count/m`` in one step; only the boundary
+        slots resolve a chain. With ``chain_weighting="overlap"`` this equals
+        ``rate_i`` exactly (up to float error); with the paper's ``"rate"``
+        weighting it is close but not identical when chains mix very
+        unequal rates.
         """
         probs = {node_id: 0.0 for node_id in self._node_ids}
         slot_p = 1.0 / self._num_slots
-        for chain in self._slots:
-            if len(chain) == 1:
-                probs[self._node_ids[chain[0][0]]] += slot_p
-                continue
-            if self._chain_weighting == "overlap":
-                weights = [overlap for _i, overlap in chain]
-            else:
-                weights = [self._rates[i] for i, _overlap in chain]
+        boundary = self._boundary_slots()
+        for j in boundary:
+            chain = self._entries(j)
+            weights = self._chain_weights(chain)
             omega = sum(weights)
             for (index, _overlap), weight in zip(chain, weights, strict=True):
                 probs[self._node_ids[index]] += slot_p * weight / omega
+        for a, b, index in zip(self._starts, self._ends, self._owners, strict=True):
+            # Slots [lo, hi) lie wholly inside [a, b); boundary ones are done.
+            lo = math.ceil(a)
+            hi = min(math.floor(b), self._num_slots)
+            if hi > lo:
+                count = hi - lo - (bisect_left(boundary, hi) - bisect_left(boundary, lo))
+                probs[self._node_ids[index]] += count * slot_p
         return probs
 
     @classmethod

@@ -223,11 +223,13 @@ class _WeightedPlan(PlacementPlan):
         chain_weighting: str = "rate",
     ) -> None:
         super().__init__(nodes, num_blocks, replication)
-        self._rate_of = rate_of
+        # Estimates do not change during an ingest: evaluate each node once.
+        self._rates: Dict[NodeId, float] = {
+            n.node_id: max(rate_of(n), 0.0) for n in self._nodes
+        }
         self._capped = capped
         self._chain_weighting = chain_weighting
         self._table: Optional[WeightedHashTable] = None
-        self._table_nodes: List[NodeView] = []
         self._table_ids: Set[NodeId] = set()
         self._rebuild_table()
 
@@ -240,28 +242,26 @@ class _WeightedPlan(PlacementPlan):
         return max(int(math.ceil(cap)), 1)
 
     def _rebuild_table(self) -> None:
-        members = [n for n in self._nodes if not self._at_capacity(n.node_id)]
+        members = [n.node_id for n in self._nodes if not self._at_capacity(n.node_id)]
         if not members:
             self._table = None
-            self._table_nodes = []
             self._table_ids = set()
             return
-        rates = [max(self._rate_of(n), 0.0) for n in members]
+        rates = [self._rates[node_id] for node_id in members]
         if sum(rates) <= 0.0:
             # Degenerate estimates (all nodes unusable): fall back to uniform.
             rates = [1.0] * len(members)
         self._table = WeightedHashTable(
-            [n.node_id for n in members],
+            members,
             rates,
             num_slots=max(self._num_blocks, len(members)),
             chain_weighting=self._chain_weighting,
         )
-        self._table_nodes = members
-        self._table_ids = {n.node_id for n in members}
+        self._table_ids = set(members)
 
     def expected_share(self, node_id: NodeId) -> float:
         """Current expected fraction of placements going to ``node_id``."""
-        if self._table is None or node_id not in [n.node_id for n in self._table_nodes]:
+        if self._table is None or node_id not in self._table_ids:
             return 0.0
         return self._table.rate(node_id)
 

@@ -16,6 +16,13 @@ validates the bus graph:
   to other objects, and accesses outside any dispatch (deferred lambdas
   the engine runs later), are ignored — matching the static model's
   attribution rules.
+* Bus taps (tracers, the InvariantAuditor) run synchronously inside
+  ``publish``, so a tap fired by a handler's nested publish would look
+  like that handler's own access. The recorder runs every tap under a
+  non-handler frame: tap reads are never handler effects, and the
+  publishing handler's accesses after the publish still are. Taps are
+  bracketed when the recorder is installed; ``build_cluster`` attaches
+  them all before that.
 * Method fetches are dropped (statically they are call edges, and their
   bodies' field effects are already folded in by the closure); property
   and data-field fetches are kept.
@@ -55,8 +62,11 @@ class EffectRecorder:
         self.writes: Dict[ObservedKey, Set[str]] = {}
         #: (event type name, phase name, handler name) dispatch log.
         self.dispatches: List[Tuple[str, str, str]] = []
-        self._stack: List[Callable[..., None]] = []
+        #: Running handlers, innermost last; ``None`` marks a running tap.
+        self._stack: List[Optional[Callable[..., None]]] = []
         self._instrumented: Dict[type, Tuple[Any, Any]] = {}
+        #: Bracketed tap -> the bus's original tap, restored on uninstall.
+        self._taps: Dict[Callable[..., None], Callable[..., None]] = {}
         self._bus: Optional[Any] = None
 
     # -- lifecycle ---------------------------------------------------------------
@@ -72,6 +82,9 @@ class EffectRecorder:
                 owners.append(type(bound_self))
         for cls in sorted(set(owners), key=lambda c: c.__qualname__):
             self._instrument(cls)
+        for tap in bus._taps:
+            self._taps[self._outside_handlers(tap)] = tap
+        bus._taps[:] = list(self._taps)
         bus.set_dispatch_interceptor(self._dispatch)
         self._bus = bus
         return self
@@ -83,6 +96,9 @@ class EffectRecorder:
             cls.__setattr__ = orig_set  # type: ignore[method-assign, assignment]
         self._instrumented.clear()
         if self._bus is not None:
+            taps = self._bus._taps
+            taps[:] = [self._taps.get(tap, tap) for tap in taps]
+            self._taps.clear()
             self._bus.set_dispatch_interceptor(None)
             self._bus = None
 
@@ -108,6 +124,20 @@ class EffectRecorder:
         finally:
             self._stack.pop()
 
+    def _outside_handlers(self, tap: Callable[..., None]) -> Callable[..., None]:
+        """``tap`` run under a non-handler frame, so its field reads are
+        not attributed to the handler whose publish fired it."""
+        stack = self._stack
+
+        def bracketed(event: Any, phases: Any) -> None:
+            stack.append(None)
+            try:
+                tap(event, phases)
+            finally:
+                stack.pop()
+
+        return bracketed
+
     def _instrument(self, cls: type) -> None:
         if cls in self._instrumented:
             return
@@ -132,6 +162,8 @@ class EffectRecorder:
         if not stack or name.startswith("__"):
             return
         handler = stack[-1]
+        if handler is None:
+            return  # a tap is running: observation, not a handler effect
         owner = getattr(handler, "__self__", None)
         if owner is None or obj is not owner:
             return  # only the running handler's own instance is attributed

@@ -1,5 +1,9 @@
 """Tests for Algorithm 1's weighted hash table."""
 
+import math
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,3 +149,109 @@ class TestPlacement:
         rng = RandomSource(2)
         picks = set(t.place_many(rng, 500))
         assert len(picks) > 10  # most nodes reachable through the chains
+
+
+def eager_slots(rates, num_slots):
+    """Reference layout: Algorithm 1's table materialised slot by slot.
+
+    Per slot, the (node index, overlap) pair of every interval meeting it,
+    from the same running sum and float expressions as ``buildHashTable``.
+    """
+    total = float(sum(rates))
+    slots = [[] for _ in range(num_slots)]
+    a = 0.0
+    for index, rate in enumerate(float(r) / total for r in rates):
+        if rate == 0.0:
+            continue
+        b = a + rate * num_slots
+        for j in range(math.floor(a), min(math.ceil(b), num_slots)):
+            overlap = min(b, j + 1.0) - max(a, float(j))
+            if overlap > 1e-12:
+                slots[j].append((index, overlap))
+        a = b
+    return slots
+
+
+def eager_place_many(rates, num_slots, weighting, rng, count):
+    """Reference ``dataPlacement`` draws over :func:`eager_slots`."""
+    total = float(sum(rates))
+    normalised = [float(r) / total for r in rates]
+    slots = eager_slots(rates, num_slots)
+    picks = []
+    for _ in range(count):
+        chain = slots[rng.randrange(num_slots)]
+        if len(chain) == 1:
+            picks.append(f"n{chain[0][0]}")
+            continue
+        if weighting == "overlap":
+            weights = [overlap for _i, overlap in chain]
+        else:
+            weights = [normalised[i] for i, _overlap in chain]
+        omega = sum(weights)
+        r1 = rng.random()
+        low = 0.0
+        pick = chain[-1][0]
+        for (index, _overlap), weight in zip(chain, weights):
+            high = low + weight / omega
+            if low <= r1 < high:
+                pick = index
+                break
+            low = high
+        picks.append(f"n{pick}")
+    return picks
+
+
+def random_shapes(count, seed=0):
+    """Random (rates, slots) shapes: 10% zero rates, n > m, and m = 1."""
+    rng = random.Random(seed)
+    shapes = [([1.0] * 20, 3), ([2.0, 0.0, 5.0], 1), ([0.0, 1e-9, 1.0, 0.0], 7)]
+    while len(shapes) < count:
+        n = rng.randint(1, 60)
+        slots = rng.choice([1, rng.randint(1, n), rng.randint(1, 40 * n)])
+        rates = [
+            0.0 if rng.random() < 0.1 else rng.lognormvariate(0.0, 1.5) for _ in range(n)
+        ]
+        if not any(rates):
+            rates[rng.randrange(n)] = 1.0
+        shapes.append((rates, slots))
+    return shapes
+
+
+class TestIntervalLayout:
+    """The interval-bounds table equals the eager slot-by-slot layout."""
+
+    @pytest.mark.parametrize("rates,slots", random_shapes(120))
+    def test_chains_bit_identical(self, rates, slots):
+        t = table(rates, slots=slots)
+        reference = eager_slots(rates, slots)
+        for j, expected in enumerate(reference):
+            assert t._entries(j) == expected
+            assert t.chain(j) == [f"n{i}" for i, _overlap in expected]
+        assert t.max_chain_length() == max(len(chain) for chain in reference)
+
+    @pytest.mark.parametrize("weighting", ["rate", "overlap"])
+    @pytest.mark.parametrize("rates,slots", random_shapes(40, seed=1))
+    def test_place_many_matches_reference(self, rates, slots, weighting):
+        t = table(rates, slots=slots, weighting=weighting)
+        expected = eager_place_many(rates, slots, weighting, RandomSource(9), 300)
+        assert t.place_many(RandomSource(9), 300) == expected
+
+    def test_negative_slot_indexes_from_the_end(self):
+        t = table([1.0, 1.0], slots=10)
+        assert t.chain(-1) == t.chain(9)
+        with pytest.raises(IndexError):
+            t.chain(10)
+
+    def test_state_does_not_grow_with_slot_count(self):
+        # A slot-by-slot layout would allocate one list per slot (tens of
+        # MB at m = 10^6); the interval layout holds O(n) floats.
+        tracemalloc.start()
+        try:
+            t = table([1.0, 2.0, 3.0, 4.0], slots=10**6)
+            t.place_many(RandomSource(0), 100)
+            t.selection_probabilities()
+            t.max_chain_length()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024

@@ -18,7 +18,7 @@ from repro.devtools.simflow.runtime import EffectRecorder, compare_observed_to_s
 from repro.devtools.simlint.engine import lint_paths
 from repro.mapreduce.job import JobConf, MapJob
 from repro.runtime.cluster import ClusterConfig, build_cluster
-from repro.simulator.events import EventBus, NodeDown, Phase
+from repro.simulator.events import EventBus, NodeDown, NodeUp, Phase
 from repro.simulator.scenarios import ChaosCampaign, NetworkPartition
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -95,6 +95,21 @@ class _Counter:
         return self.seen
 
 
+class _Publisher:
+    """Toy handler that publishes mid-dispatch while a tap watches it."""
+
+    def __init__(self, bus):
+        self.bus = bus
+        self.before = 0
+        self.after = 0
+        self.watched = 0
+
+    def handle_node_down(self, event):
+        _ = self.before
+        self.bus.publish(NodeUp(time=event.time, node_id=event.node_id))
+        _ = self.after
+
+
 class TestRecorderMechanics:
     def _bus_with_counter(self):
         bus = EventBus()
@@ -139,3 +154,25 @@ class TestRecorderMechanics:
                 recorder.install(bus)
         finally:
             recorder.uninstall()
+
+    def test_tap_reads_are_not_handler_effects(self):
+        # A tap runs inside the publishing handler's dispatch (the
+        # InvariantAuditor reading JobTracker.job from handle_node_dead):
+        # what the tap reads is not the handler's effect, but the
+        # handler's own reads on both sides of its publish still are.
+        bus = EventBus()
+        publisher = _Publisher(bus)
+        bus.subscribe(  # simlint: ignore[C002]
+            NodeDown, publisher.handle_node_down, Phase.ACCOUNTING
+        )
+
+        def tap(event, phases):
+            return publisher.watched
+
+        bus.add_tap(tap)
+        with EffectRecorder().install(bus) as recorder:
+            bus.publish(NodeDown(time=0.0, node_id=1))
+        reads = recorder.reads[("_Publisher", "handle_node_down")]
+        assert {"before", "bus", "after"} <= reads
+        assert "watched" not in reads
+        assert bus._taps == [tap]  # uninstall restored the original tap
