@@ -87,16 +87,13 @@ def shift_episodes(
     """Shift episodes ``burn_in`` seconds earlier, clipping at t=0.
 
     The stationary burn-in transform — identical to what the lazy
-    injector path applies (``FailureInjector`` delegates here).
+    injector path applies (``FailureInjector`` delegates here). Episodes
+    that end by ``burn_in`` are dropped; a lazy episode is folded only
+    until its end is known to pass ``burn_in``, and stays lazy.
     """
     for episode in episodes:
-        end = episode.end - burn_in
-        if end <= 0.0:
-            continue
-        start = max(episode.start - burn_in, 0.0)
-        yield DowntimeEpisode(
-            start=start, end=end, interruption_count=episode.interruption_count
-        )
+        if episode.ends_after(burn_in):
+            yield episode.shifted(burn_in)
 
 
 def materialise_prefix(
@@ -109,12 +106,15 @@ def materialise_prefix(
     ``schedule_at`` sequence allocation exactly). The source stream is
     *closed* in all cases — boundary found, stream exhausted, or an empty
     prefix — so a suspended generator frame (per-host RNG substreams, loop
-    locals) is freed immediately rather than retained until GC.
+    locals) is freed immediately rather than retained until GC. For the
+    same reason each episode is resolved as it is pulled (pulling the next
+    one would resolve it anyway): no episode of the prefix keeps fold
+    state, and the prefix pickles as plain values.
     """
     prefix: List[DowntimeEpisode] = []
     try:
         for episode in stream:
-            prefix.append(episode)
+            prefix.append(episode.resolve())
             if episode.start >= horizon:
                 break
     finally:

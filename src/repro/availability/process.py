@@ -15,8 +15,7 @@ of the paper's formula (3); tests cross-check the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.availability.distributions import (
     _NV_MAGICCONST,
@@ -28,7 +27,6 @@ from repro.util.rng import RandomSource
 from repro.util.validation import check_positive
 
 
-@dataclass(frozen=True)
 class DowntimeEpisode:
     """One contiguous down window (an M/G/1 busy period).
 
@@ -36,22 +34,372 @@ class DowntimeEpisode:
     host goes down), ``end`` is when every queued interruption has been
     serviced (the host returns), and ``interruption_count`` is how many
     interruptions were folded into the episode.
+
+    Episodes from :meth:`InterruptionProcess.episodes` are *lazy*: the
+    busy-period fold is suspended after the first interruption and runs
+    further only when a consumer needs to know more. :meth:`ends_after`
+    folds just far enough to answer; :attr:`end`, :attr:`duration`,
+    ``==``, ``hash`` and ``repr`` resolve the episode fully. The fold
+    draws from the host's own two substreams, which nothing else touches,
+    so a resolved lazy episode equals the eagerly folded one field for
+    field. Until then :attr:`end_bound` is a lower bound on ``end`` and
+    :attr:`interruption_count` counts the interruptions folded so far.
     """
 
+    __slots__ = ("start", "_end", "_count", "_fold", "_offset")
+
     start: float
-    end: float
-    interruption_count: int
+
+    def __init__(self, start: float, end: float, interruption_count: int) -> None:
+        if end < start:
+            raise ValueError(f"episode ends ({end}) before it starts ({start})")
+        if interruption_count < 1:
+            raise ValueError("an episode contains at least one interruption")
+        self.start = start
+        self._end = end
+        self._count = interruption_count
+        self._fold: Optional[_BusyPeriod] = None
+        self._offset = 0.0
+
+    @classmethod
+    def _folding(
+        cls, start: float, fold: "_BusyPeriod", offset: float = 0.0
+    ) -> "DowntimeEpisode":
+        """A lazy episode whose end is ``fold``'s, ``offset`` seconds earlier."""
+        episode = cls.__new__(cls)
+        episode.start = start
+        episode._fold = fold
+        episode._offset = offset
+        return episode
+
+    @property
+    def end(self) -> float:
+        """When the host returns (resolves the fold fully)."""
+        if self._fold is not None:
+            self.resolve()
+        return self._end
+
+    def resolve(self) -> "DowntimeEpisode":
+        """Finish the fold (if any) and drop its state; returns ``self``."""
+        fold = self._fold
+        if fold is not None:
+            if not fold.done:
+                fold.advance(math.inf, 0.0)
+            self._settle(fold)
+        return self
+
+    @property
+    def interruption_count(self) -> int:
+        """Interruptions folded so far; final once :attr:`resolved`.
+
+        Never folds: reading it straight after ``next()`` on the stream
+        costs nothing.
+        """
+        fold = self._fold
+        return self._count if fold is None else fold.count
+
+    @property
+    def resolved(self) -> bool:
+        """Whether the fold has finished (``end`` is known without folding)."""
+        fold = self._fold
+        return fold is None or fold.done
+
+    @property
+    def end_bound(self) -> float:
+        """A lower bound on :attr:`end`, equal to it once :attr:`resolved`."""
+        fold = self._fold
+        if fold is None:
+            return self._end
+        return fold.busy_until - self._offset
 
     @property
     def duration(self) -> float:
         """Length of the down window."""
         return self.end - self.start
 
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"episode ends ({self.end}) before it starts ({self.start})")
-        if self.interruption_count < 1:
-            raise ValueError("an episode contains at least one interruption")
+    def ends_after(self, when: float) -> bool:
+        """Whether ``end > when``, folding only as far as the answer needs."""
+        fold = self._fold
+        if fold is not None:
+            if not fold.done:
+                fold.advance(when, self._offset)
+                if not fold.done:
+                    return True  # the fold stopped with its bound past ``when``
+            self._settle(fold)
+        return self._end > when
+
+    def shifted(self, by: float) -> "DowntimeEpisode":
+        """This episode ``by`` seconds earlier, its start clipped at 0.
+
+        A lazy episode stays lazy: the shifted one shares its fold. The
+        caller checks ``ends_after(by)`` first, as the result must not
+        end at or before 0.
+        """
+        start = max(self.start - by, 0.0)
+        fold = self._fold
+        if fold is None or fold.done or self._offset:
+            return DowntimeEpisode(start, self.end - by, self.interruption_count)
+        return DowntimeEpisode._folding(start, fold, by)
+
+    def _settle(self, fold: "_BusyPeriod") -> None:
+        """Copy a finished fold's values and drop the fold state."""
+        self._end = fold.busy_until - self._offset
+        self._count = fold.count
+        self._fold = None
+
+    def _key(self) -> Tuple[float, float, int]:
+        return (self.start, self.end, self.interruption_count)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        assert isinstance(other, DowntimeEpisode)
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self) -> Tuple[type, Tuple[float, float, int]]:
+        return (DowntimeEpisode, self._key())
+
+    def __repr__(self) -> str:
+        start, end, count = self._key()
+        return (
+            f"DowntimeEpisode(start={start!r}, end={end!r}, "
+            f"interruption_count={count!r})"
+        )
+
+
+class _BusyPeriod:
+    """The suspended fold of one busy period.
+
+    ``t`` is the pending arrival, ``busy_until`` the recovery point of the
+    interruptions folded so far (``count`` of them). ``done`` once an
+    arrival lands after ``busy_until`` or the fold bound trips.
+    """
+
+    __slots__ = ("t", "busy_until", "count", "done", "_kernel")
+
+    def __init__(self, kernel: "_FoldKernel", t: float, busy_until: float) -> None:
+        self.t = t
+        self.busy_until = busy_until
+        self.count = 1
+        self.done = not (t < busy_until and 1 < kernel.max_per)
+        self._kernel: Optional[_FoldKernel] = None if self.done else kernel
+
+    def advance(self, limit: float, offset: float) -> None:
+        """Fold until done or ``busy_until - offset > limit``.
+
+        A finished fold lets go of the kernel, so a resolved episode no
+        longer holds the host's streams.
+        """
+        assert self._kernel is not None
+        self._kernel.fold(self, limit, offset)
+        if self.done:
+            self._kernel = None
+
+
+class _FoldKernel:
+    """One host's busy-period fold: draws from its two private substreams.
+
+    Subclasses inline the draw formulas of the distribution pairs every
+    shipped population uses; the draws are the exact ``Distribution.sample``
+    formulas, so every kernel gives the floats of the generic one.
+    """
+
+    __slots__ = ("max_per",)
+
+    def __init__(self, max_per: int) -> None:
+        self.max_per = max_per
+
+    def arrival(self) -> float:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def service(self) -> float:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def fold(self, period: _BusyPeriod, limit: float, offset: float) -> None:
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    def stream(self, horizon: float) -> Iterator[DowntimeEpisode]:
+        """Lazy episodes whose start falls in [0, horizon).
+
+        Pulling the next episode resolves the previous one first, except
+        when its bound already passes ``horizon``: the next arrival comes
+        after the episode's end, so the stream has ended either way.
+        """
+        t = self.arrival()
+        while t < horizon:
+            period = _BusyPeriod(self, t + self.arrival(), t + self.service())
+            yield DowntimeEpisode._folding(t, period)
+            if not period.done:
+                period.advance(horizon, 0.0)
+                if not period.done:
+                    return
+            t = period.t
+            if t < period.busy_until:
+                # Episode truncated by the safety bound (unstable host that
+                # effectively never returns): resume arrivals after the end.
+                # Exact for exponential inter-arrivals (memorylessness).
+                t = period.busy_until + self.arrival()
+
+
+class _GenericKernel(_FoldKernel):
+    """Reference fold: one ``Distribution.sample`` per draw."""
+
+    __slots__ = ("_arrival", "_service", "_clock", "_svc_rng")
+
+    def __init__(
+        self,
+        arrival: Distribution,
+        service: Distribution,
+        clock: RandomSource,
+        svc_rng: RandomSource,
+        max_per: int,
+    ) -> None:
+        super().__init__(max_per)
+        self._arrival = arrival
+        self._service = service
+        self._clock = clock
+        self._svc_rng = svc_rng
+
+    def arrival(self) -> float:
+        return self._arrival.sample(self._clock)
+
+    def service(self) -> float:
+        return self._service.sample(self._svc_rng)
+
+    def fold(self, period: _BusyPeriod, limit: float, offset: float) -> None:
+        arrival = self._arrival
+        service = self._service
+        clock = self._clock
+        svc_rng = self._svc_rng
+        max_per = self.max_per
+        t = period.t
+        busy_until = period.busy_until
+        count = period.count
+        # Fold in every interruption that arrives before recovery ends.
+        while t < busy_until and count < max_per and busy_until - offset <= limit:
+            busy_until += service.sample(svc_rng)
+            count += 1
+            t += arrival.sample(clock)
+        period.t = t
+        period.busy_until = busy_until
+        period.count = count
+        period.done = not (t < busy_until and count < max_per)
+
+
+class _ExpoLognormalKernel(_FoldKernel):
+    """Fold with ``expovariate``/``lognormvariate`` inlined.
+
+    The arrival draw is ``-log(1 - u) / lambd`` (``Random.expovariate``)
+    and the service draw is ``exp(mu + z * sigma)`` with ``z`` from the
+    Kinderman-Monahan rejection sampler behind ``Random.normalvariate``
+    — the exact formulas, so draws are bit-identical to the generic path
+    and the stream advances by the same number of uniforms.
+    """
+
+    __slots__ = ("_lambd", "_mu", "_sigma", "_arnd", "_srnd")
+
+    def __init__(
+        self,
+        arrival: Exponential,
+        service: Lognormal,
+        clock: RandomSource,
+        svc_rng: RandomSource,
+        max_per: int,
+    ) -> None:
+        super().__init__(max_per)
+        self._lambd = arrival.rate
+        self._mu = service.mu
+        self._sigma = service.sigma
+        self._arnd = clock.raw_random
+        self._srnd = svc_rng.raw_random
+
+    def arrival(self) -> float:
+        return -math.log(1.0 - self._arnd()) / self._lambd
+
+    def service(self) -> float:
+        srnd = self._srnd
+        while True:
+            u1 = srnd()
+            u2 = 1.0 - srnd()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -math.log(u2):
+                return math.exp(self._mu + z * self._sigma)
+
+    def fold(self, period: _BusyPeriod, limit: float, offset: float) -> None:
+        lambd = self._lambd
+        mu = self._mu
+        sigma = self._sigma
+        max_per = self.max_per
+        arnd = self._arnd
+        srnd = self._srnd
+        log = math.log
+        exp = math.exp
+        magic = _NV_MAGICCONST
+        t = period.t
+        busy_until = period.busy_until
+        count = period.count
+        while t < busy_until and count < max_per and busy_until - offset <= limit:
+            while True:
+                u1 = srnd()
+                u2 = 1.0 - srnd()
+                z = magic * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            busy_until += exp(mu + z * sigma)
+            count += 1
+            t += -log(1.0 - arnd()) / lambd
+        period.t = t
+        period.busy_until = busy_until
+        period.count = count
+        period.done = not (t < busy_until and count < max_per)
+
+
+class _ExpoExpoKernel(_FoldKernel):
+    """Fold with ``expovariate`` inlined for both draws."""
+
+    __slots__ = ("_lambd", "_slambd", "_arnd", "_srnd")
+
+    def __init__(
+        self,
+        arrival: Exponential,
+        service: Exponential,
+        clock: RandomSource,
+        svc_rng: RandomSource,
+        max_per: int,
+    ) -> None:
+        super().__init__(max_per)
+        self._lambd = arrival.rate
+        self._slambd = service.rate
+        self._arnd = clock.raw_random
+        self._srnd = svc_rng.raw_random
+
+    def arrival(self) -> float:
+        return -math.log(1.0 - self._arnd()) / self._lambd
+
+    def service(self) -> float:
+        return -math.log(1.0 - self._srnd()) / self._slambd
+
+    def fold(self, period: _BusyPeriod, limit: float, offset: float) -> None:
+        lambd = self._lambd
+        slambd = self._slambd
+        max_per = self.max_per
+        arnd = self._arnd
+        srnd = self._srnd
+        log = math.log
+        t = period.t
+        busy_until = period.busy_until
+        count = period.count
+        while t < busy_until and count < max_per and busy_until - offset <= limit:
+            busy_until += -log(1.0 - srnd()) / slambd
+            count += 1
+            t += -log(1.0 - arnd()) / lambd
+        period.t = t
+        period.busy_until = busy_until
+        period.count = count
+        period.done = not (t < busy_until and count < max_per)
 
 
 class InterruptionProcess:
@@ -75,6 +423,11 @@ class InterruptionProcess:
         When the bound trips, the episode ends at the accumulated recovery
         point (already astronomically far in the future for any job); among
         stable hosts, only near-critical ones (rho close to 1) reach it.
+        Because episodes fold lazily, the bound only shapes episodes that
+        are resolved fully: those whose end the clock reaches, those under
+        a delayed-recovery stretch, and those before a stream's next
+        episode. A run that ends while such a host is still down folds
+        only until the episode's recovery point passes the run's clock.
     """
 
     def __init__(
@@ -147,22 +500,28 @@ class InterruptionProcess:
         The last episode may end after ``horizon``; callers that need a
         bounded trace clip it (see ``AvailabilityTrace.from_episodes``).
 
+        Episodes are lazy (see :class:`DowntimeEpisode`): each is yielded
+        after its first interruption, and its busy period is folded further
+        only when a consumer asks. Pulling the next episode resolves the
+        previous one, because the next arrival comes after its end. A
+        consumer that never gets that far, such as a run that stops while
+        an unstable host is still down, never pays for the rest of the fold.
+
         ``clock`` / ``svc_rng`` let bulk pregeneration
         (:mod:`repro.availability.pregen`) pass in streams built from
         bulk-derived seeds; they must equal the default substream
         derivations (``"arrivals"`` / ``"service"`` under this process's
         rng) for the realisation to stay byte-identical.
 
-        This loop dominates whole-cluster build and run time at scale
-        (~98% of the 16k-node kernel cell), so the two distribution pairs
-        every shipped population uses — exponential arrivals with lognormal
-        (SETI traces) or exponential (Table 2 emulation) recovery — dispatch
-        to specialised generators that inline the CPython ``random`` draw
-        formulas directly into the busy-period fold. No per-draw method
-        calls, and no retained buffers: a suspended generator holds a few
-        floats, not kilobytes, which is what keeps 226k concurrent per-host
-        streams inside memory. Emitted episodes are bit-identical to the
-        generic scalar path (pinned by tests/availability/test_vectorized.py).
+        The two distribution pairs every shipped population uses —
+        exponential arrivals with lognormal (SETI traces) or exponential
+        (Table 2 emulation) recovery — dispatch to fold kernels that inline
+        the CPython ``random`` draw formulas directly into the busy-period
+        fold. No per-draw method calls, and no retained buffers: a
+        suspended fold holds a few floats, not kilobytes, which is what
+        keeps 226k concurrent per-host streams inside memory. Episodes are
+        bit-identical to the generic scalar path (pinned by
+        tests/availability/test_vectorized.py).
         """
         check_positive("horizon", horizon)
         if clock is None:
@@ -179,116 +538,35 @@ class InterruptionProcess:
         return self._episodes_generic(clock, svc_rng, horizon)
 
     def _episodes_generic(
-        self,
-        clock: RandomSource,
-        svc_rng: RandomSource,
-        horizon: float,
+        self, clock: RandomSource, svc_rng: RandomSource, horizon: float
     ) -> Iterator[DowntimeEpisode]:
         """Reference busy-period fold: one ``Distribution.sample`` per draw."""
-        arrival = self._arrival
-        service = self._service
-        max_per = self._max_per_episode
-
-        t = arrival.sample(clock)
-        while t < horizon:
-            # A new busy period begins at this arrival.
-            start = t
-            busy_until = t + service.sample(svc_rng)
-            count = 1
-            t += arrival.sample(clock)
-            # Fold in every interruption that arrives before recovery ends.
-            while t < busy_until and count < max_per:
-                busy_until += service.sample(svc_rng)
-                count += 1
-                t += arrival.sample(clock)
-            if t < busy_until:
-                # Episode truncated by the safety bound (unstable host that
-                # effectively never returns): resume arrivals after the end.
-                # Exact for exponential inter-arrivals (memorylessness).
-                t = busy_until + arrival.sample(clock)
-            yield DowntimeEpisode(start=start, end=busy_until, interruption_count=count)
+        kernel = _GenericKernel(
+            self._arrival, self._service, clock, svc_rng, self._max_per_episode
+        )
+        return kernel.stream(horizon)
 
     def _episodes_expo_lognormal(
-        self,
-        clock: RandomSource,
-        svc_rng: RandomSource,
-        horizon: float,
+        self, clock: RandomSource, svc_rng: RandomSource, horizon: float
     ) -> Iterator[DowntimeEpisode]:
-        """Busy-period fold with ``expovariate``/``lognormvariate`` inlined.
-
-        The arrival draw is ``-log(1 - u) / lambd`` (``Random.expovariate``)
-        and the service draw is ``exp(mu + z * sigma)`` with ``z`` from the
-        Kinderman-Monahan rejection sampler behind ``Random.normalvariate``
-        — the exact formulas, so draws are bit-identical to the generic path
-        and the stream advances by the same number of uniforms.
-        """
+        """Busy-period fold with ``expovariate``/``lognormvariate`` inlined."""
         assert isinstance(self._arrival, Exponential)
         assert isinstance(self._service, Lognormal)
-        lambd = self._arrival.rate
-        mu = self._service.mu
-        sigma = self._service.sigma
-        max_per = self._max_per_episode
-        arnd = clock.raw_random
-        srnd = svc_rng.raw_random
-        log = math.log
-        exp = math.exp
-        magic = _NV_MAGICCONST
-
-        t = -log(1.0 - arnd()) / lambd
-        while t < horizon:
-            start = t
-            while True:
-                u1 = srnd()
-                u2 = 1.0 - srnd()
-                z = magic * (u1 - 0.5) / u2
-                if z * z / 4.0 <= -log(u2):
-                    break
-            busy_until = t + exp(mu + z * sigma)
-            count = 1
-            t += -log(1.0 - arnd()) / lambd
-            while t < busy_until and count < max_per:
-                while True:
-                    u1 = srnd()
-                    u2 = 1.0 - srnd()
-                    z = magic * (u1 - 0.5) / u2
-                    if z * z / 4.0 <= -log(u2):
-                        break
-                busy_until += exp(mu + z * sigma)
-                count += 1
-                t += -log(1.0 - arnd()) / lambd
-            if t < busy_until:
-                t = busy_until + -log(1.0 - arnd()) / lambd
-            yield DowntimeEpisode(start=start, end=busy_until, interruption_count=count)
+        kernel = _ExpoLognormalKernel(
+            self._arrival, self._service, clock, svc_rng, self._max_per_episode
+        )
+        return kernel.stream(horizon)
 
     def _episodes_expo_expo(
-        self,
-        clock: RandomSource,
-        svc_rng: RandomSource,
-        horizon: float,
+        self, clock: RandomSource, svc_rng: RandomSource, horizon: float
     ) -> Iterator[DowntimeEpisode]:
         """Busy-period fold with ``expovariate`` inlined for both draws."""
         assert isinstance(self._arrival, Exponential)
         assert isinstance(self._service, Exponential)
-        lambd = self._arrival.rate
-        slambd = self._service.rate
-        max_per = self._max_per_episode
-        arnd = clock.raw_random
-        srnd = svc_rng.raw_random
-        log = math.log
-
-        t = -log(1.0 - arnd()) / lambd
-        while t < horizon:
-            start = t
-            busy_until = t + -log(1.0 - srnd()) / slambd
-            count = 1
-            t += -log(1.0 - arnd()) / lambd
-            while t < busy_until and count < max_per:
-                busy_until += -log(1.0 - srnd()) / slambd
-                count += 1
-                t += -log(1.0 - arnd()) / lambd
-            if t < busy_until:
-                t = busy_until + -log(1.0 - arnd()) / lambd
-            yield DowntimeEpisode(start=start, end=busy_until, interruption_count=count)
+        kernel = _ExpoExpoKernel(
+            self._arrival, self._service, clock, svc_rng, self._max_per_episode
+        )
+        return kernel.stream(horizon)
 
     def episodes_list(self, horizon: float) -> List[DowntimeEpisode]:
         """Materialise :meth:`episodes` into a list."""
@@ -313,7 +591,6 @@ class InterruptionProcess:
 
 def merge_episode_stream(
     episodes: Iterator[DowntimeEpisode],
-    lookahead: Optional[int] = None,
 ) -> Iterator[DowntimeEpisode]:
     """Merge any episodes that touch or overlap into single episodes.
 

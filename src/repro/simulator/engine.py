@@ -14,6 +14,17 @@ compacted — cancelled entries dropped — whenever they outnumber the live
 ones (amortised O(1) per cancellation; :attr:`Simulator.pending_events`
 stays within a constant factor of the live event count). Compaction never
 changes the ``(time, seq)`` order of the live entries.
+
+An event may be *lazily keyed*: scheduled at a lower bound on its time,
+with a ``refine`` callback that can tighten the bound. Such an entry is
+refined only when it reaches the queue head, and only until its bound
+passes the next entry's time or its time is exact; it is re-pushed under
+the sequence number it was scheduled with. A refinement never advances
+the clock or counts as a fired event, and an entry fires only once its
+time is exact, so the ``(time, seq)`` order, and with it every
+trajectory, is the one the exact times would give. The failure injector
+keys the return of a host on its busy period's end this way, so an
+unstable host's fold runs only as far as the clock gets.
 """
 
 from __future__ import annotations
@@ -26,11 +37,16 @@ from typing import Callable, List, Optional, Tuple
 #: Never compact below this queue size: tiny queues don't need the churn.
 _COMPACT_MIN_SIZE = 64
 
+#: ``refine(target)`` of a lazily keyed event: tighten the lower bound on
+#: the event's time until it passes ``target`` or is exact, and return
+#: ``(time, exact)``.
+Refine = Callable[[float], Tuple[float, bool]]
+
 
 class EventHandle:
     """A scheduled event; call :meth:`cancel` to revoke it."""
 
-    __slots__ = ("time", "action", "label", "_cancelled", "_sim")
+    __slots__ = ("time", "action", "label", "refine", "_cancelled", "_sim")
 
     def __init__(
         self,
@@ -38,10 +54,14 @@ class EventHandle:
         action: Callable[[], None],
         label: str,
         sim: Optional["Simulator"] = None,
+        refine: Optional[Refine] = None,
     ) -> None:
+        #: The event's time; a lower bound on it while ``refine`` is set.
         self.time = time
         self.action: Optional[Callable[[], None]] = action
         self.label = label
+        #: Tightens a lazily keyed time; None once the time is exact.
+        self.refine = refine
         self._cancelled = False
         #: Owning simulator, told about cancellations for heap hygiene.
         self._sim = sim
@@ -56,6 +76,7 @@ class EventHandle:
             return
         self._cancelled = True
         self.action = None  # release the closure promptly
+        self.refine = None  # and a lazy key's fold state
         if self._sim is not None:
             self._sim._note_cancelled()
 
@@ -159,31 +180,35 @@ class Simulator:
         time: float,
         action: Callable[[], None],
         label: str = "",
+        refine: Optional[Refine] = None,
     ) -> EventHandle:
-        """Schedule ``action`` at an absolute simulation time."""
+        """Schedule ``action`` at an absolute simulation time.
+
+        With ``refine``, ``time`` is a lower bound on the event's time and
+        the entry is lazily keyed (see the module docstring); its refined
+        times must be finite too.
+        """
         if time < self._now:
             raise ValueError(f"cannot schedule at {time} before now ({self._now})")
         if not math.isfinite(time):
             raise ValueError(f"event time must be finite, got {time}")
-        handle = EventHandle(time, action, label, sim=self)
+        handle = EventHandle(time, action, label, sim=self, refine=refine)
         self._queue.push((time, next(self._sequence), handle))
         return handle
 
     def step(self) -> bool:
         """Execute the next event. Returns False when the queue is empty."""
-        while len(self._queue):
-            time, _seq, handle = self._queue.pop()
-            if handle.cancelled:
-                self._cancelled_in_heap -= 1
-                continue
-            self._now = time
-            action = handle.action
-            handle._consume()  # mark fired; also drops the closure ref
-            self._events_fired += 1
-            assert action is not None
-            action()
-            return True
-        return False
+        if self._peek_time() is None:
+            return False
+        # _peek_time left a live, exactly keyed handle at the queue head.
+        time, _seq, handle = self._queue.pop()
+        self._now = time
+        action = handle.action
+        handle._consume()  # mark fired; also drops the closure ref
+        self._events_fired += 1
+        assert action is not None
+        action()
+        return True
 
     def run(
         self,
@@ -200,11 +225,12 @@ class Simulator:
             raise RuntimeError("simulator is already running (re-entrant run())")
         self._running = True
         executed = 0
+        limit = math.inf if until is None else until
         try:
             while len(self._queue):
                 if max_events is not None and executed >= max_events:
                     break
-                next_time = self._peek_time()
+                next_time = self._peek_time(limit)
                 if next_time is None:
                     break
                 if until is not None and next_time > until:
@@ -231,18 +257,54 @@ class Simulator:
         """
         return self._peek_time()
 
-    def _peek_time(self) -> Optional[float]:
-        """Time of the next live event, discarding cancelled heads."""
+    def _peek_time(self, limit: float = math.inf) -> Optional[float]:
+        """Time of the next live event, discarding cancelled heads.
+
+        A lazily keyed head is refined until it is exact, or until its
+        bound passes ``limit``: then the bound, already past ``limit``, is
+        returned and the head stays lazy.
+        """
         queue = self._queue
         while True:
             entry = queue.peek()
             if entry is None:
                 return None
+            handle = entry[2]
+            if handle.cancelled:
+                queue.pop()
+                self._cancelled_in_heap -= 1
+                continue
+            if handle.refine is None or entry[0] > limit:
+                return entry[0]
+            self._refine_head(limit)
+
+    def _refine_head(self, limit: float) -> None:
+        """Refine the lazily keyed head past the next live entry's time.
+
+        Its bound only has to pass that time (or ``limit``) to fall behind
+        it; re-pushing under the same sequence number keeps ties in
+        scheduling order.
+        """
+        queue = self._queue
+        _bound, seq, handle = queue.pop()
+        target = limit
+        while True:
+            entry = queue.peek()
+            if entry is None:
+                break
             if entry[2].cancelled:
                 queue.pop()
                 self._cancelled_in_heap -= 1
                 continue
-            return entry[0]
+            target = min(entry[0], limit)
+            break
+        refine = handle.refine
+        assert refine is not None
+        time, exact = refine(target)
+        if exact:
+            handle.refine = None
+        handle.time = time
+        queue.push((time, seq, handle))
 
     def _note_cancelled(self) -> None:
         """A pending handle was cancelled; compact when the dead outnumber

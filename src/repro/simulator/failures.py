@@ -34,14 +34,14 @@ state.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.availability.generator import HostAvailability
 from repro.availability.pregen import materialise_prefix, shift_episodes
 from repro.availability.process import DowntimeEpisode, InterruptionProcess
 from repro.availability.traces import AvailabilityTrace
 from repro.core.ids import NodeId
-from repro.simulator.engine import EventHandle, Simulator
+from repro.simulator.engine import EventHandle, Refine, Simulator
 from repro.simulator.events import (
     EventBus,
     NodeDown,
@@ -58,6 +58,16 @@ PermanentListener = Callable[[NodeId, float], None]
 #: Phase used for legacy ``subscribe()`` wrappers: subscription order alone
 #: determines their relative order, as the old callback lists did.
 _LEGACY_PHASE = Phase.SCHEDULING
+
+
+def _end_refiner(episode: DowntimeEpisode) -> Refine:
+    """The engine's refine callback for an episode's return event."""
+
+    def refine(target: float) -> Tuple[float, bool]:
+        episode.ends_after(target)
+        return episode.end_bound, episode.resolved
+
+    return refine
 
 
 def _adapt_listener(listener: Callable[[str, float], None]) -> Callable[..., None]:
@@ -456,17 +466,27 @@ class FailureInjector:
         now = self._sim.now
         self._down_since[node_id] = now
         self._bus.publish(NodeDown(time=now, node_id=node_id))
-        end = max(episode.end, now)
         stretch = self._recovery_stretch.get(node_id)
+        refine: Optional[Refine] = None
         if stretch is not None:
             # Delayed-recovery chaos: the remaining downtime of an episode
             # beginning inside the window lasts ``stretch`` times as long.
             # Guarded so the untouched path stays float-identical.
+            end = max(episode.end, now)
             end = now + (end - now) * stretch
+        elif episode.ends_after(now):
+            # Keyed on the end's lower bound: the engine folds the busy
+            # period further only when this event reaches the queue head.
+            end = episode.end_bound
+            if not episode.resolved:
+                refine = _end_refiner(episode)
+        else:
+            end = now
         handle = self._sim.schedule_at(
             end,
             lambda: self._end_episode(node_id, episode, from_stream),
             label=f"up:{node_id}",
+            refine=refine,
         )
         if from_stream:
             self._stream_events[node_id] = handle

@@ -1,10 +1,18 @@
 """Tests for the M/G/1 interruption process."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.availability.distributions import Deterministic, Exponential
+from repro.availability.distributions import (
+    Deterministic,
+    Exponential,
+    Lognormal,
+    Weibull,
+)
+from repro.availability.pregen import shift_episodes
 from repro.availability.process import (
     DowntimeEpisode,
     InterruptionProcess,
@@ -147,3 +155,105 @@ class TestMergeStream:
 
     def test_empty(self):
         assert list(merge_episode_stream(iter([]))) == []
+
+
+#: (arrival, service) pairs covering each fold kernel, stable and unstable.
+_LAZY_CASES = [
+    pytest.param(Exponential(mean=10.0), Lognormal(mean=40.0, cov=1.2), id="expo-lognormal-unstable"),
+    pytest.param(Exponential(mean=2000.0), Lognormal(mean=300.0, cov=2.0), id="expo-lognormal-stable"),
+    pytest.param(Exponential(mean=5.0), Exponential(mean=25.0), id="expo-expo-unstable"),
+    pytest.param(Exponential(mean=900.0), Exponential(mean=120.0), id="expo-expo-stable"),
+    pytest.param(Weibull(scale=5.0, shape=0.8), Exponential(mean=25.0), id="generic-unstable"),
+]
+
+
+def _eager_fold(arrival, service, rng, cap):
+    """Reference eager busy-period fold: every episode folded to its end."""
+    clock = rng.substream("arrivals")
+    svc_rng = rng.substream("service")
+    t = arrival.sample(clock)
+    while True:
+        start = t
+        busy_until = t + service.sample(svc_rng)
+        count = 1
+        t += arrival.sample(clock)
+        while t < busy_until and count < cap:
+            busy_until += service.sample(svc_rng)
+            count += 1
+            t += arrival.sample(clock)
+        if t < busy_until:
+            t = busy_until + arrival.sample(clock)
+        yield (start, busy_until, count)
+
+
+def _twins(arrival, service, cap=2_000):
+    def make():
+        return InterruptionProcess(
+            arrival,
+            service,
+            RandomSource(17).substream("h"),
+            max_interruptions_per_episode=cap,
+        )
+
+    return make(), make()
+
+
+class TestLazyEpisodes:
+    @pytest.mark.parametrize("arrival,service", _LAZY_CASES)
+    def test_resolved_lazy_equals_eager_field_for_field(self, arrival, service):
+        lazy_p, _ = _twins(arrival, service)
+        lazy_it = lazy_p.episodes(float("inf"))
+        eager_it = _eager_fold(arrival, service, RandomSource(17).substream("h"), 2_000)
+        for _ in range(30):
+            eager = DowntimeEpisode(*next(eager_it))
+            lazy = next(lazy_it)
+            # Ask a few partial questions before resolving the episode.
+            probe = lazy.start
+            while lazy.ends_after(probe) and not lazy.resolved:
+                assert lazy.end_bound > probe
+                probe = lazy.end_bound + 1.0
+            assert (lazy.start, lazy.end, lazy.interruption_count) == (
+                eager.start,
+                eager.end,
+                eager.interruption_count,
+            )
+            assert lazy == eager and hash(lazy) == hash(eager)
+
+    @pytest.mark.parametrize("arrival,service", _LAZY_CASES)
+    def test_shifted_lazy_equals_shifted_eager(self, arrival, service):
+        lazy_p, eager_p = _twins(arrival, service)
+        burn_in = 5_000.0
+        lazy = list(zip(range(20), shift_episodes(lazy_p.episodes(float("inf")), burn_in)))
+        eager_stream = (e.resolve() for e in eager_p.episodes(float("inf")))
+        eager = list(zip(range(20), shift_episodes(eager_stream, burn_in)))
+        assert lazy == eager
+
+    def test_interruption_count_does_not_fold(self):
+        p = _process(mtbi=1.0, mu=5.0, seed=3)  # lambda*mu = 5
+        stream = p.episodes(float("inf"))
+        first = next(stream)
+        assert first.interruption_count >= 1
+        assert not first.resolved
+        folded = first.interruption_count
+        assert first.ends_after(first.start + 100.0)
+        assert not first.resolved
+        assert folded < first.interruption_count < p.max_interruptions_per_episode
+        assert first.end_bound > first.start + 100.0
+        first.resolve()
+        assert first.resolved
+        assert first.interruption_count == p.max_interruptions_per_episode
+
+    def test_finite_horizon_stops_without_resolving(self):
+        # The next arrival comes after the episode's end, so once the
+        # bound passes the horizon the stream is over either way.
+        p = _process(mtbi=1.0, mu=5.0, seed=3)
+        twin = _process(mtbi=1.0, mu=5.0, seed=3)
+        lazy = list(p.episodes(200.0))
+        assert not lazy[-1].resolved
+        assert lazy == [e.resolve() for e in twin.episodes(200.0)]
+
+    def test_pickles_resolved(self):
+        p = _process(mtbi=1.0, mu=5.0, seed=3)
+        episode = next(p.episodes(float("inf")))
+        copy = pickle.loads(pickle.dumps(episode))
+        assert copy == episode and copy.resolved

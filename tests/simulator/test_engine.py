@@ -1,5 +1,8 @@
 """Tests for the discrete-event engine."""
 
+import random
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,3 +233,145 @@ class TestDeterminism:
             sim.schedule(delay, lambda: times.append(sim.now))
         sim.run()
         assert times == sorted(times)
+
+
+class _LazyKey:
+    """A lazily keyed time: the bound climbs in unit steps to ``time``."""
+
+    def __init__(self, bound, time):
+        self.bound = bound
+        self.time = time
+        self.refinements = 0
+
+    def refine(self, target):
+        self.refinements += 1
+        while self.bound <= target and self.bound < self.time:
+            self.bound = min(self.bound + 1.0, self.time)
+        return self.bound, self.bound == self.time
+
+
+def _plan(seed, n=300):
+    """Random event tree: (parent, delay, lazy, slack, cancels) per event.
+
+    Integer delays make time ties common, so sequence-number order is
+    exercised as much as time order.
+    """
+    rnd = random.Random(seed)
+    plan = []
+    for i in range(n):
+        parent = rnd.randrange(-1, i) if i else -1
+        delay = float(rnd.randint(0, 6))
+        lazy = rnd.random() < 0.5
+        slack = float(rnd.randint(0, 5))
+        cancels = rnd.randrange(n) if rnd.random() < 0.15 else None
+        plan.append((parent, delay, lazy, slack, cancels))
+    return plan
+
+
+def _drive(plan, lazy_keys, until=None):
+    """Run ``plan``; lazy events get lazily keyed handles iff ``lazy_keys``.
+
+    Returns (fired log, peek after each event, events_fired, now, keys).
+    """
+    sim = Simulator()
+    handles = {}
+    keys = []
+    log = []
+    peeks = []
+    children = defaultdict(list)
+    for i, (parent, *_rest) in enumerate(plan):
+        children[parent].append(i)
+
+    def schedule(i):
+        _parent, delay, lazy, slack, cancels = plan[i]
+        time = sim.now + delay
+
+        def fire():
+            log.append((i, sim.now, sim.events_fired))
+            if cancels is not None and cancels in handles:
+                handles[cancels].cancel()
+            for child in children[i]:
+                schedule(child)
+
+        if lazy and lazy_keys:
+            key = _LazyKey(max(time - slack, sim.now), time)
+            keys.append(key)
+            handles[i] = sim.schedule_at(key.bound, fire, refine=key.refine)
+        else:
+            handles[i] = sim.schedule_at(time, fire)
+
+    for root in children[-1]:
+        schedule(root)
+    if until is not None:
+        sim.run(until=until)
+        peeks.append((sim.now, sim.peek_next_time()))
+    while sim.step():
+        peeks.append(sim.peek_next_time())
+    return log, peeks, sim.events_fired, sim.now, keys
+
+
+class TestLazilyKeyedEvents:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_trajectory_as_exact_keys(self, seed):
+        plan = _plan(seed)
+        lazy = _drive(plan, lazy_keys=True)
+        exact = _drive(plan, lazy_keys=False)
+        assert lazy[:4] == exact[:4]
+        assert lazy[4], "the plan must contain lazily keyed events"
+        # Some heads were refined in several steps, stopping short each time.
+        assert any(key.refinements > 1 for key in lazy[4])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_run_until_boundary_agrees(self, seed):
+        plan = _plan(seed)
+        fired = _drive(plan, lazy_keys=False)[0]
+        # A boundary exactly at an event time: events at ``until`` run.
+        boundary = fired[len(fired) // 2][1]
+        lazy = _drive(plan, lazy_keys=True, until=boundary)
+        exact = _drive(plan, lazy_keys=False, until=boundary)
+        assert lazy[:4] == exact[:4]
+
+    def test_refinement_neither_advances_clock_nor_counts(self):
+        sim = Simulator()
+        key = _LazyKey(1.0, 9.0)
+        fired = []
+        sim.schedule_at(key.bound, lambda: fired.append(sim.now), refine=key.refine)
+        sim.schedule_at(5.0, lambda: fired.append(sim.now))
+        assert sim.run(until=4.0) == 0
+        assert sim.now == 0.0 and sim.events_fired == 0
+        # Refined only as far as the run's clock needed.
+        assert 4.0 < key.bound < key.time
+        assert sim.peek_next_time() == 5.0
+        sim.run()
+        assert fired == [5.0, 9.0]
+        assert sim.events_fired == 2
+
+    def test_tie_with_exact_time_keeps_schedule_order(self):
+        sim = Simulator()
+        order = []
+        key = _LazyKey(0.0, 5.0)
+        sim.schedule_at(key.bound, lambda: order.append("lazy"), refine=key.refine)
+        sim.schedule_at(5.0, lambda: order.append("plain"))
+        sim.run()
+        assert order == ["lazy", "plain"]
+
+    def test_compaction_drops_cancelled_lazy_entries(self):
+        sim = Simulator()
+        order = []
+        keep = []
+        keys = []
+        for i in range(200):
+            key = _LazyKey(0.0, float(i % 37))
+            keys.append(key)
+            handle = sim.schedule_at(
+                key.bound, lambda i=i: order.append(i), refine=key.refine
+            )
+            if i % 4:
+                handle.cancel()  # triggers compaction partway through
+            else:
+                keep.append(i)
+        assert sim.pending_events < 200
+        sim.run()
+        assert order == sorted(keep, key=lambda i: (i % 37, i))
+        assert sim.pending_events == 0
+        assert all(keys[i].refinements == 0 for i in range(200) if i % 4)

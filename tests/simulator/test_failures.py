@@ -330,6 +330,38 @@ class TestRecoveryStretch:
         ups = [e for e in rec.events if e[0] == "up"]
         assert ups == [("up", "t0", 30.0), ("up", "t0", 110.0)]
 
+    def test_stretch_on_unresolved_runaway_episode_matches_eager(self):
+        # lambda*mu = 5: the first busy period runs to the fold bound, and
+        # nothing has resolved it when it begins under the stretch.
+        host = interrupted_host(mtbi=1.0, mu=5.0)
+        sim, injector = make_injector(seed=4)
+        rec = Recorder()
+        injector.subscribe(rec.down, rec.up)
+        injector.attach_host(host)
+        injector.set_recovery_stretch("h0", 2.5)
+        twin = host.process(RandomSource(4).substream("failures", "h0"))
+        eager = next(twin.episodes(float("inf"))).resolve()
+        assert eager.interruption_count == twin.max_interruptions_per_episode
+        sim.run(max_events=2)
+        now = eager.start
+        assert rec.events == [
+            ("down", "h0", now),
+            ("up", "h0", now + (eager.end - now) * 2.5),
+        ]
+
+    def test_unstretched_runaway_return_is_exact(self):
+        host = interrupted_host(mtbi=1.0, mu=5.0)
+        sim, injector = make_injector(seed=4)
+        rec = Recorder()
+        injector.subscribe(rec.down, rec.up)
+        injector.attach_host(host)
+        twin = host.process(RandomSource(4).substream("failures", "h0"))
+        eager = next(twin.episodes(float("inf"))).resolve()
+        sim.run(until=eager.end - 1.0)
+        assert rec.events == [("down", "h0", eager.start)]
+        sim.run(max_events=1)
+        assert rec.events[-1] == ("up", "h0", eager.end)
+
     def test_stretch_validation(self):
         _, injector = make_injector()
         injector.attach_host(HostAvailability(host_id="h0"))
