@@ -281,7 +281,7 @@ class RngDiscipline(ProjectRule):
                             node.col_offset,
                             "RandomSource seeded with a literal constant; "
                             "derive the stream from the run's root seed via "
-                            "substream()/derive_seeds so substream discipline "
+                            "substream()/derive_seed so substream discipline "
                             "holds",
                         ),
                     )
@@ -301,7 +301,7 @@ class PoolCaptureHazard(ModuleRule):
     A lambda, a nested ``def`` (it closes over the enclosing frame), or a
     bound method (it pickles the whole instance, sharing no mutation back)
     passed to ``ProcessPoolExecutor.submit/map`` either fails to pickle or
-    silently diverges from the parent process. The sweep/pregen fan-out
+    silently diverges from the parent process. The sweep fan-out
     idiom is a module-level function plus an explicit spec argument.
     """
 

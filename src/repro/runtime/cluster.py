@@ -46,12 +46,6 @@ from typing import ClassVar, Dict, List, Optional, Sequence
 
 from repro.availability.estimators import AvailabilityEstimate
 from repro.availability.generator import HostAvailability
-from repro.availability.pregen import (
-    AVAIL_BACKENDS,
-    pregenerate_prefixes,
-    resolve_backend,
-    resolve_jobs,
-)
 from repro.availability.traces import AvailabilityTrace
 from repro.core.ids import NodeId, NodeIds
 from repro.core.predictor import PerformancePredictor
@@ -204,28 +198,14 @@ class ClusterConfig:
     #: Scripted chaos campaign layered on the stochastic injector (see
     #: repro.simulator.scenarios / repro.simulator.chaos). None = off.
     chaos: Optional[ChaosCampaign] = None
-    #: Eagerly materialise every interruption episode starting before this
-    #: simulated time at build, then close each per-host generator so the
-    #: run loop pays no sampling cost (or suspended-frame memory) up to the
-    #: horizon. Byte-identical to lazy sampling within the horizon; past it
-    #: no further interruptions occur, so set this at or beyond the window
-    #: you intend to simulate. None keeps the lazy default.
-    pregen_horizon: Optional[float] = None
-    #: Episode sampling backend for pregeneration: "scalar" (exact, the
-    #: golden-bearing default) or "numpy" (vectorized; statistically
-    #: equivalent but not byte-identical — see
-    #: ``repro.availability.numpy_backend``). Only consulted when
-    #: ``pregen_horizon`` is set. The ``REPRO_AVAIL_BACKEND`` environment
-    #: variable overrides this at build time.
-    avail_backend: str = "scalar"
-    #: Worker processes for pregeneration (1 = in-process). Bit-identical
-    #: at any job count: every host's stream is independently keyed. The
-    #: ``REPRO_PREGEN_JOBS`` environment variable overrides at build time.
-    pregen_jobs: int = 1
-    #: Not a field: the engine has one event queue, a binary heap. Kept as
-    #: a constant because the benchmark (``perfbench/cell.py``) records
-    #: ``config.event_queue`` with every run.
+    #: Not fields: the engine has one event queue (a binary heap) and one
+    #: way to draw availability episodes (the exact, lazy per-host fold).
+    #: Kept as constants because the benchmark (``perfbench/cell.py``)
+    #: records them with every run.
     event_queue: ClassVar[str] = "heap"
+    avail_backend: ClassVar[str] = "scalar"
+    pregen_jobs: ClassVar[int] = 1
+    pregen_horizon: ClassVar[Optional[float]] = None
     #: Root seed; every random stream in the cluster derives from it.
     seed: int = 0
 
@@ -247,16 +227,6 @@ class ClusterConfig:
             raise ValueError("permanent_failure_rate must be in [0, 1]")
         if self.permanent_failure_rate > 0.0:
             check_positive("permanent_failure_horizon", self.permanent_failure_horizon)
-        if self.pregen_horizon is not None and self.pregen_horizon < 0:
-            raise ValueError(
-                f"pregen_horizon must be non-negative, got {self.pregen_horizon}"
-            )
-        if self.avail_backend not in AVAIL_BACKENDS:
-            raise ValueError(
-                f"avail_backend must be one of {AVAIL_BACKENDS}, got {self.avail_backend!r}"
-            )
-        if self.pregen_jobs < 1:
-            raise ValueError(f"pregen_jobs must be >= 1, got {self.pregen_jobs}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(
                 f"topology must be one of {TOPOLOGIES}, got {self.topology!r}"
@@ -301,32 +271,27 @@ class ClusterConfig:
 class BuildProfile:
     """Wall-clock breakdown of one ``build_cluster`` call.
 
-    ``seed_derivation_seconds`` and ``sample_seconds`` are sub-spans of
-    ``pregen_seconds`` (reported by the pregeneration kernel itself);
-    the remaining phases are disjoint. ``total_seconds`` covers the whole
-    build including un-itemised glue, so the itemised phases sum to less.
+    The itemised phases are disjoint. ``attach_seconds`` covers attaching
+    every host to the failure injector (each host's first episode is
+    drawn there). ``total_seconds`` covers the whole build including
+    un-itemised glue, so the itemised phases sum to less.
     """
 
-    seed_derivation_seconds: float = 0.0
-    sample_seconds: float = 0.0
-    pregen_seconds: float = 0.0
+    attach_seconds: float = 0.0
     object_construction_seconds: float = 0.0
     bus_wiring_seconds: float = 0.0
     total_seconds: float = 0.0
-    backend: str = "scalar"
-    jobs: int = 1
+    #: Not fields: constants the benchmark (``perfbench/cell.py``) records.
+    backend: ClassVar[str] = "scalar"
+    jobs: ClassVar[int] = 1
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready snapshot (bench_engine's build_breakdown)."""
         return {
-            "seed_derivation_seconds": round(self.seed_derivation_seconds, 4),
-            "sample_seconds": round(self.sample_seconds, 4),
-            "pregen_seconds": round(self.pregen_seconds, 4),
+            "attach_seconds": round(self.attach_seconds, 4),
             "object_construction_seconds": round(self.object_construction_seconds, 4),
             "bus_wiring_seconds": round(self.bus_wiring_seconds, 4),
             "total_seconds": round(self.total_seconds, 4),
-            "backend": self.backend,
-            "jobs": self.jobs,
         }
 
 
@@ -461,10 +426,7 @@ def build_cluster(
     if not hosts:
         raise ValueError("need at least one host")
     build_start = time.perf_counter()  # simlint: ignore[D002]
-    profile = BuildProfile(
-        backend=resolve_backend(config.avail_backend),
-        jobs=resolve_jobs(config.pregen_jobs),
-    )
+    profile = BuildProfile()
     names = [h.host_id for h in hosts]
     if len(set(names)) != len(names):
         raise ValueError("host ids must be unique")
@@ -713,34 +675,13 @@ def build_cluster(
         bus.subscribe(ReplicaAdded, chaos.handle_replica_added, Phase.ACCOUNTING)
     profile.bus_wiring_seconds = time.perf_counter() - wiring_start  # simlint: ignore[D002]
 
-    pregen_start = time.perf_counter()  # simlint: ignore[D002]
+    attach_start = time.perf_counter()  # simlint: ignore[D002]
     if traces is not None:
         trace_names = [trace.host_id for trace in traces]
         if trace_names != names:
             raise ValueError("traces must parallel hosts (same ids, same order)")
         for trace in traces:
             injector.attach_trace(trace, node_id=node_id_of[trace.host_id])
-    elif config.pregen_horizon is not None:
-        # Bulk pregeneration: every host's episode prefix is materialised
-        # up front (fanned out over processes / vectorized per backend) and
-        # injected ready-made, so attach_host never constructs a process or
-        # suspends a generator frame. With the default scalar backend this
-        # is byte-identical to per-host lazy sampling (streams keyed by
-        # (seed, host name) alone); prefixes arrive burn-in-shifted.
-        result = pregenerate_prefixes(
-            hosts,
-            rng,
-            config.pregen_horizon,
-            burn_in=config.stationary_burn_in,
-            jobs=profile.jobs,
-            backend=profile.backend,
-        )
-        profile.seed_derivation_seconds = result.seed_seconds
-        profile.sample_seconds = result.sample_seconds
-        for host, prefix in zip(hosts, result.prefixes, strict=True):
-            injector.attach_host(
-                host, node_id=node_id_of[host.host_id], episodes=prefix
-            )
     else:
         for host in hosts:
             # The int id keys the injector's runtime state; the RNG
@@ -751,7 +692,7 @@ def build_cluster(
                 burn_in=config.stationary_burn_in,
                 node_id=node_id_of[host.host_id],
             )
-    profile.pregen_seconds = time.perf_counter() - pregen_start  # simlint: ignore[D002]
+    profile.attach_seconds = time.perf_counter() - attach_start  # simlint: ignore[D002]
 
     if config.permanent_failure_rate > 0.0:
         # Keyed per host so one host's draw never perturbs another's —

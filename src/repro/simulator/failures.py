@@ -34,11 +34,10 @@ state.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.availability.generator import HostAvailability
-from repro.availability.pregen import materialise_prefix, shift_episodes
-from repro.availability.process import DowntimeEpisode, InterruptionProcess
+from repro.availability.process import DowntimeEpisode
 from repro.availability.traces import AvailabilityTrace
 from repro.core.ids import NodeId
 from repro.simulator.engine import EventHandle, Refine, Simulator
@@ -58,6 +57,20 @@ PermanentListener = Callable[[NodeId, float], None]
 #: Phase used for legacy ``subscribe()`` wrappers: subscription order alone
 #: determines their relative order, as the old callback lists did.
 _LEGACY_PHASE = Phase.SCHEDULING
+
+
+def shift_episodes(
+    episodes: Iterable[DowntimeEpisode], burn_in: float
+) -> Iterator[DowntimeEpisode]:
+    """Shift episodes ``burn_in`` seconds earlier, clipping at t=0.
+
+    The stationary burn-in transform of :meth:`FailureInjector.attach_host`.
+    Episodes that end by ``burn_in`` are dropped; a lazy episode is folded
+    only until its end is known to pass ``burn_in``, and stays lazy.
+    """
+    for episode in episodes:
+        if episode.ends_after(burn_in):
+            yield episode.shifted(burn_in)
 
 
 def _end_refiner(episode: DowntimeEpisode) -> Refine:
@@ -156,9 +169,7 @@ class FailureInjector:
         self,
         host: HostAvailability,
         burn_in: float = 0.0,
-        pregen_horizon: Optional[float] = None,
         node_id: Optional[NodeId] = None,
-        episodes: Optional[Sequence[DowntimeEpisode]] = None,
     ) -> None:
         """Drive a node from its availability description.
 
@@ -171,30 +182,11 @@ class FailureInjector:
         downtime. A burn-in of several population MTBIs is enough; 0 keeps
         the legacy fresh start.
 
-        ``pregen_horizon`` eagerly materialises every episode starting
-        before that simulated time at attach, then *closes* the per-host
-        episode generator so its suspended frame holds no memory for the
-        rest of the run. The stream is per-node and values are position-
-        determined, so up to the horizon the delivered episodes (and the
-        engine's event sequence numbers) are byte-identical to the lazy
-        path. The horizon is a contract: a run that advances past it sees
-        no further interruptions, so callers must pick a horizon at or
-        beyond the simulated window they intend to run (the scale-kernel
-        bench opts in; see tools/bench_engine.py).
-
         ``node_id`` is the dense int id the injector keys its runtime
         state (and published events) by; it defaults to ``host.host_id``
         so standalone components keep routing by name. The RNG substream
         is *always* keyed by the host's name, so failure realisations are
         invariant under the identity representation.
-
-        ``episodes`` injects an externally materialised episode prefix
-        (bulk pregeneration — :mod:`repro.availability.pregen`) instead of
-        sampling one here: no per-host RNG substream is derived and no
-        generator is built, so attach becomes pure bookkeeping. The prefix
-        must already include any burn-in shift, which is why combining
-        ``episodes`` with ``burn_in`` or ``pregen_horizon`` is rejected.
-        Pass None (not an empty sequence) for dedicated hosts.
         """
         if node_id is None:
             node_id = host.host_id  # type: ignore[assignment]
@@ -202,61 +194,15 @@ class FailureInjector:
             raise ValueError(f"node {node_id!r} already attached")
         if burn_in < 0:
             raise ValueError(f"burn_in must be non-negative, got {burn_in}")
-        if pregen_horizon is not None and pregen_horizon < 0:
-            raise ValueError(
-                f"pregen_horizon must be non-negative, got {pregen_horizon}"
-            )
-        if episodes is not None and (pregen_horizon is not None or burn_in > 0.0):
-            raise ValueError(
-                "episodes is an already-materialised prefix; it cannot be "
-                "combined with pregen_horizon or a non-zero burn_in"
-            )
         self._register(node_id)
-        if episodes is not None:
-            self._episode_streams[node_id] = iter(episodes)
-            self._schedule_next(node_id)
-            return
         process = host.process(self._rng.substream("failures", host.host_id))
         if process is None:
             return
-        raw = process.episodes(float("inf"))
+        stream: Iterator[DowntimeEpisode] = process.episodes(float("inf"))
         if burn_in > 0.0:
-            stream: Iterator[DowntimeEpisode] = self._shift_stream(raw, burn_in)
-        else:
-            stream = raw
-        if pregen_horizon is not None:
-            stream = self._pregenerate(stream, pregen_horizon)
+            stream = shift_episodes(stream, burn_in)
         self._episode_streams[node_id] = stream
         self._schedule_next(node_id)
-
-    @staticmethod
-    def _pregenerate(
-        stream: Iterator[DowntimeEpisode], horizon: float
-    ) -> Iterator[DowntimeEpisode]:
-        """Materialise the prefix of episodes starting before ``horizon``.
-
-        The first episode at or past the horizon is kept too (it was pulled
-        to detect the boundary, and keeping it preserves the engine's
-        ``schedule_at`` sequence allocation exactly), then the source
-        generator is *closed*: its suspended frame — per-host RNG
-        substreams, loop locals — is freed immediately, which at 226k
-        concurrent hosts is the difference between hundreds of megabytes
-        and none. The trade: a run that advances past the horizon sees no
-        interruptions beyond it, which is why ``attach_host`` documents
-        the horizon as a contract, not a hint.
-
-        The source generator is closed even when the materialised prefix is
-        empty or materialisation raises (``materialise_prefix`` closes in a
-        ``finally``), so no attach path can leave a suspended frame behind.
-        """
-        return iter(materialise_prefix(stream, horizon))
-
-    @staticmethod
-    def _shift_stream(
-        episodes: Iterator[DowntimeEpisode], burn_in: float
-    ) -> Iterator[DowntimeEpisode]:
-        """Shift episodes ``burn_in`` seconds earlier, clipping at t=0."""
-        return shift_episodes(episodes, burn_in)
 
     def attach_trace(
         self, trace: AvailabilityTrace, node_id: Optional[NodeId] = None

@@ -12,12 +12,12 @@ from repro.availability.distributions import (
     Lognormal,
     Weibull,
 )
-from repro.availability.pregen import shift_episodes
 from repro.availability.process import (
     DowntimeEpisode,
     InterruptionProcess,
     merge_episode_stream,
 )
+from repro.simulator.failures import shift_episodes
 from repro.util.rng import RandomSource
 from repro.util.stats import RunningStats
 

@@ -372,122 +372,3 @@ class TestRecoveryStretch:
         # Clearing an unset stretch is a no-op.
         injector.clear_recovery_stretch("h0")
 
-
-class TestPregenerateClosesSource:
-    """Regression: _pregenerate must release the source generator even
-    when the materialised prefix is empty — a suspended frame per host is
-    hundreds of megabytes at fleet scale."""
-
-    @staticmethod
-    def _spy_stream(episodes):
-        state = {"closed": False}
-
-        def gen():
-            try:
-                yield from episodes
-            finally:
-                state["closed"] = True
-
-        return gen(), state
-
-    def test_source_closed_after_normal_prefix(self):
-        from repro.availability.process import DowntimeEpisode
-
-        stream, state = self._spy_stream(
-            [DowntimeEpisode(10.0, 12.0, 1), DowntimeEpisode(50.0, 51.0, 1)]
-        )
-        materialised = FailureInjector._pregenerate(stream, 20.0)
-        assert state["closed"]
-        assert [e.start for e in materialised] == [10.0, 50.0]
-
-    def test_source_closed_for_empty_prefix(self):
-        # Horizon 0 with an exhausted source: nothing materialises, yet
-        # the generator must still be closed.
-        stream, state = self._spy_stream([])
-        materialised = FailureInjector._pregenerate(stream, 0.0)
-        assert list(materialised) == []
-        assert state["closed"]
-
-    def test_attach_with_pregen_closes_generator(self):
-        sim, injector = make_injector()
-        injector.attach_host(interrupted_host(), pregen_horizon=100.0)
-        # The per-host stream is a plain list iterator now — advancing the
-        # sim never resumes a suspended generator frame.
-        sim.run(until=100.0)
-        assert injector.episode_count("h0") > 0
-
-    def test_pregen_horizon_zero_still_delivers_boundary_episode(self):
-        # Contract: the first episode at/past the horizon is kept, so even
-        # horizon=0 schedules the host's first interruption.
-        sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
-        injector.attach_host(interrupted_host(), pregen_horizon=0.0)
-        sim.run(until=50.0)
-        assert any(e[0] == "down" for e in rec.events)
-
-
-class TestInjectedEpisodePrefix:
-    """attach_host(episodes=...): bulk pregeneration's injection path."""
-
-    def _prefix(self, host, seed, horizon, burn_in=0.0):
-        from repro.availability.pregen import episode_prefix
-
-        return episode_prefix(host, RandomSource(seed), horizon, burn_in=burn_in)
-
-    def test_injected_prefix_matches_internal_pregen(self):
-        horizon = 300.0
-        events = []
-        for mode in ("internal", "injected"):
-            sim = Simulator()
-            injector = FailureInjector(sim, RandomSource(1))
-            rec = Recorder()
-            injector.subscribe(rec.down, rec.up)
-            if mode == "internal":
-                injector.attach_host(interrupted_host(), pregen_horizon=horizon)
-            else:
-                prefix = self._prefix(interrupted_host(), 1, horizon)
-                injector.attach_host(interrupted_host(), episodes=prefix)
-            sim.run(until=horizon)
-            events.append(rec.events)
-        assert events[0] == events[1]
-
-    def test_injected_prefix_with_burn_in_matches(self):
-        horizon, burn_in = 300.0, 77.0
-        events = []
-        for mode in ("internal", "injected"):
-            sim = Simulator()
-            injector = FailureInjector(sim, RandomSource(2))
-            rec = Recorder()
-            injector.subscribe(rec.down, rec.up)
-            if mode == "internal":
-                injector.attach_host(
-                    interrupted_host(), burn_in=burn_in, pregen_horizon=horizon
-                )
-            else:
-                prefix = self._prefix(interrupted_host(), 2, horizon, burn_in)
-                injector.attach_host(interrupted_host(), episodes=prefix)
-            sim.run(until=horizon)
-            events.append(rec.events)
-        assert events[0] == events[1]
-
-    def test_episodes_excludes_other_knobs(self):
-        _, injector = make_injector()
-        from repro.availability.process import DowntimeEpisode
-
-        prefix = [DowntimeEpisode(1.0, 2.0, 1)]
-        with pytest.raises(ValueError, match="cannot be combined"):
-            injector.attach_host(interrupted_host(), episodes=prefix, burn_in=5.0)
-        with pytest.raises(ValueError, match="cannot be combined"):
-            injector.attach_host(
-                interrupted_host(), episodes=prefix, pregen_horizon=10.0
-            )
-
-    def test_empty_prefix_means_never_interrupted(self):
-        sim, injector = make_injector()
-        rec = Recorder()
-        injector.subscribe(rec.down, rec.up)
-        injector.attach_host(interrupted_host(), episodes=[])
-        sim.run(until=1000.0)
-        assert rec.events == []
-        assert not injector.is_down("h0")

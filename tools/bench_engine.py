@@ -19,11 +19,15 @@ cell enables the Clos fabric); the 4k population is measured both flat
 and behind a 32-rack oversubscribed Clos with rack-aware ingest, and the
 ``--guard`` gate fails CI when the Clos cell slows by more than 20%.
 
-Schema 2 adds a per-cell ``build_breakdown`` (seed derivation / pregen /
-object construction / bus wiring, from ``Cluster.build_profile``, plus a
+Schema 2 adds a per-cell ``build_breakdown`` (object construction / bus
+wiring / host attach, from ``Cluster.build_profile``, plus a
 separately-timed metadata ingest of one block per node at replication 3 —
 ingest is *not* part of ``build_seconds``, keeping the build numbers
 comparable with schema-1 records).
+
+Every cell runs the default path: availability episodes are drawn by the
+exact, lazy per-host busy-period fold, so a host's episode is folded only
+as far as the run needs it, partly at attach and partly in the run loop.
 
 Usage::
 
@@ -32,9 +36,8 @@ Usage::
         --guard BENCH_engine.json        # CI perf-regression gate
     PYTHONPATH=src python tools/bench_engine.py --full   # adds the 226k cell
 
-The tool runs unchanged on revisions that predate the scale-kernel knobs
-(``pregen_horizon``): knobs are applied only when the checked-out
-``ClusterConfig`` has the field.
+Cell knobs (the Clos fabric) are applied only when the checked-out
+``ClusterConfig`` has the field, so the tool also runs on older revisions.
 """
 
 from __future__ import annotations
@@ -282,7 +285,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--knobs", type=str, default="{}", help=argparse.SUPPRESS)
     parser.add_argument(
-        "--smoke", action="store_true", help="only the 1k (throughput) and 4k (build) cells"
+        "--smoke", action="store_true", help="only the 1k (throughput), flat 4k (build) and Clos 4k cells"
     )
     parser.add_argument("--full", action="store_true", help="add the 226k multi-day cell")
     parser.add_argument(
@@ -291,24 +294,6 @@ def main() -> int:
         default="current",
         help="record section to write the measured cells into",
     )
-    parser.add_argument(
-        "--pregen-horizon",
-        type=float,
-        default=None,
-        help="ClusterConfig.pregen_horizon to apply (ignored if the field is absent)",
-    )
-    parser.add_argument(
-        "--avail-backend",
-        type=str,
-        default=None,
-        help="ClusterConfig.avail_backend to apply (ignored if the field is absent)",
-    )
-    parser.add_argument(
-        "--pregen-jobs",
-        type=int,
-        default=None,
-        help="ClusterConfig.pregen_jobs to apply (ignored if the field is absent)",
-    )
     parser.add_argument("--out", type=str, default=None, help="JSON record path (merged)")
     parser.add_argument("--table-out", type=str, default=None)
     parser.add_argument(
@@ -316,8 +301,11 @@ def main() -> int:
         type=str,
         default=None,
         metavar="BASELINE_JSON",
-        help="compare the smoke cell against this committed record; "
-        f"exit non-zero on a >{GUARD_DROP_FRACTION:.0%} events/sec drop",
+        # argparse %-formats help text, hence the doubled percent sign.
+        help=f"compare against this committed record; exit non-zero when, by "
+        f"more than {GUARD_DROP_FRACTION * 100:.0f}%%, the smoke cell's events/sec "
+        "drops, the flat 4k cell's build_seconds rises, or the Clos 4k cell's "
+        "total_seconds rises",
     )
     args = parser.parse_args()
 
@@ -326,11 +314,6 @@ def main() -> int:
         print(json.dumps(cell))
         return 0
 
-    knobs = {
-        "pregen_horizon": args.pregen_horizon,
-        "avail_backend": args.avail_backend,
-        "pregen_jobs": args.pregen_jobs,
-    }
     cells = (
         [
             (SMOKE_NODES, 2.0, {}),
@@ -347,7 +330,7 @@ def main() -> int:
     for nodes, days, cell_knobs in cells:
         topo = cell_knobs.get("topology", "flat")
         print(f"running cell nodes={nodes} topology={topo} days={days} ...", flush=True)
-        cell = run_cell_subprocess(nodes, days, args.seed, {**knobs, **cell_knobs})
+        cell = run_cell_subprocess(nodes, days, args.seed, cell_knobs)
         print(
             f"  build {cell['build_seconds']:.2f}s  run {cell['run_seconds']:.2f}s  "
             f"{cell['events']} events  {cell['events_per_sec']:.1f} ev/s  "
